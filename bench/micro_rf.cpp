@@ -158,8 +158,7 @@ int main(int argc, char** argv) {
     }
     return true;
   };
-  for (const simd::Level level :
-       {simd::Level::Scalar, simd::Level::Sse2, simd::Level::Avx2}) {
+  for (const simd::Level level : {simd::Level::Scalar, simd::Level::Avx2}) {
     MatrixCell flat_cell{simd::level_name(level), "flat16"};
     MatrixCell quant_cell{simd::level_name(level), "quant8"};
     if (level <= simd::detected_level()) {

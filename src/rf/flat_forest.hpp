@@ -93,20 +93,8 @@ class FlatForest {
   /// inside L2, while one tree's nodes stream through L1; the wide block
   /// amortizes each tree's node-table sweep over enough rows to keep the
   /// SIMD kernels' gather chains fed (64 left them latency-bound on node
-  /// refetches). Public so external schedulers (the SessionManager's
-  /// cross-session ask fusion) can carve their own block grids.
+  /// refetches). Public so QuantizedForest blocks its rows the same way.
   static constexpr std::size_t kRowBlock = 256;
-
-  /// One cache block of predict_stats, exposed for fused scoring: fills
-  /// out[begin, end) for rows [begin, end) (end - begin <= kRowBlock).
-  /// Blocks are independent, so any schedule over them — including one
-  /// interleaving blocks of *different* forests — produces bit-identical
-  /// results to predict_stats.
-  void predict_stats_block(const FeatureMatrix& rows, std::size_t begin,
-                           std::size_t end, std::span<PredictionStats> out,
-                           std::vector<double>& scratch) const {
-    stats_block(rows, begin, end, out, scratch);
-  }
 
   /// Raw compiled layout (the QuantizedForest compaction pass reads it).
   std::span<const FlatNode> nodes() const { return nodes_; }

@@ -1,4 +1,4 @@
-// Scalar and SSE2 kernel tiers plus the runtime dispatch machinery.
+// Scalar kernel tier plus the runtime dispatch machinery.
 // The AVX2 tier lives in simd_eval_avx2.cpp (its own TU so only that file
 // is compiled with -mavx2; this TU must stay runnable on any x86-64).
 
@@ -12,10 +12,7 @@
 
 #include "rf/flat_forest.hpp"
 #include "rf/quantized_layout.hpp"
-
-#ifdef PWU_SIMD_HAS_SSE2
-#include <emmintrin.h>
-#endif
+#include "util/logging.hpp"
 
 namespace pwu::rf::simd {
 
@@ -75,64 +72,6 @@ void quant_tree_scalar(const QuantNode* nodes, const std::int32_t* ranks,
   }
 }
 
-// ---- SSE2 tier -------------------------------------------------------------
-//
-// flat16: eight rows in lockstep as four pairs — scalar node loads (SSE2
-// has no gathers), one packed ordered <= compare per pair per level.
-// Walking the same eight rows as the scalar tier keeps eight line fills in
-// flight — narrower grouping is dominated by node-table latency, not
-// compare throughput. _mm_cmple_pd is false on NaN, so a NaN feature
-// routes right exactly like the scalar `v <= threshold`.
-//
-// quant8 has no SSE2-specific body: the rank walk is a single 32-bit
-// integer compare per node with no gathers to vectorize, so the SSE2
-// dispatch entry is the scalar loop itself.
-
-#ifdef PWU_SIMD_HAS_SSE2
-
-void flat_tree_sse2(const FlatNode* nodes, const double* rows,
-                    std::size_t stride, std::size_t n, double* out) {
-  constexpr std::size_t kGroup = 8;
-  std::size_t r = 0;
-  for (; r + kGroup <= n; r += kGroup) {
-    const double* base = rows + r * stride;
-    std::uint32_t cur[kGroup] = {};
-    for (;;) {
-      bool active = false;
-      for (std::size_t j = 0; j < kGroup; j += 2) {
-        const FlatNode n0 = nodes[cur[j]];
-        const FlatNode n1 = nodes[cur[j + 1]];
-        const bool leaf0 = n0.feature < 0;
-        const bool leaf1 = n1.feature < 0;
-        if (leaf0 && leaf1) continue;
-        active = true;
-        const double* row0 = base + j * stride;
-        const double* row1 = row0 + stride;
-        const __m128d v = _mm_set_pd(
-            leaf1 ? 0.0 : row1[n1.feature],
-            leaf0 ? 0.0 : row0[n0.feature]);
-        const __m128d t = _mm_set_pd(n1.payload, n0.payload);
-        const int le = _mm_movemask_pd(_mm_cmple_pd(v, t));
-        if (!leaf0) {
-          cur[j] =
-              static_cast<std::uint32_t>(n0.left) + ((le & 1) != 0 ? 0u : 1u);
-        }
-        if (!leaf1) {
-          cur[j + 1] =
-              static_cast<std::uint32_t>(n1.left) + ((le & 2) != 0 ? 0u : 1u);
-        }
-      }
-      if (!active) break;
-    }
-    for (std::size_t j = 0; j < kGroup; ++j) {
-      out[r + j] = nodes[cur[j]].payload;
-    }
-  }
-  if (r < n) flat_tree_scalar(nodes, rows + r * stride, stride, n - r, out + r);
-}
-
-#endif  // PWU_SIMD_HAS_SSE2
-
 // ---- level selection -------------------------------------------------------
 
 Level min_level(Level a, Level b) {
@@ -145,9 +84,11 @@ std::atomic<int> g_override{-1};
 Level env_level_clamp() {
   static const Level cached = [] {
     const char* env = std::getenv("PWU_SIMD_LEVEL");
-    const std::optional<Level> parsed =
-        env != nullptr ? parse_level(env) : std::nullopt;
-    return parsed.value_or(Level::Avx2);
+    if (env != nullptr && !parse_level(env).has_value()) {
+      util::log_warn() << "PWU_SIMD_LEVEL='" << env
+                       << "' is not one of scalar|avx2; dispatching scalar";
+    }
+    return env_level_ceiling(env);
   }();
   return cached;
 }
@@ -157,7 +98,6 @@ Level env_level_clamp() {
 const char* level_name(Level level) {
   switch (level) {
     case Level::Scalar: return "scalar";
-    case Level::Sse2: return "sse2";
     case Level::Avx2: return "avx2";
   }
   return "unknown";
@@ -166,9 +106,13 @@ const char* level_name(Level level) {
 std::optional<Level> parse_level(const char* name) {
   const std::string s = name != nullptr ? name : "";
   if (s == "scalar") return Level::Scalar;
-  if (s == "sse2") return Level::Sse2;
   if (s == "avx2") return Level::Avx2;
   return std::nullopt;
+}
+
+Level env_level_ceiling(const char* value) {
+  if (value == nullptr) return Level::Avx2;
+  return parse_level(value).value_or(Level::Scalar);
 }
 
 Level detected_level() {
@@ -176,9 +120,6 @@ Level detected_level() {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
 #ifdef PWU_SIMD_HAS_AVX2
     if (__builtin_cpu_supports("avx2")) return Level::Avx2;
-#endif
-#ifdef PWU_SIMD_HAS_SSE2
-    if (__builtin_cpu_supports("sse2")) return Level::Sse2;
 #endif
 #endif
     return Level::Scalar;
@@ -209,9 +150,6 @@ FlatTreeKernel flat_tree_kernel(Level level) {
 #ifdef PWU_SIMD_HAS_AVX2
     case Level::Avx2: return detail::flat_tree_avx2;
 #endif
-#ifdef PWU_SIMD_HAS_SSE2
-    case Level::Sse2: return flat_tree_sse2;
-#endif
     default: return flat_tree_scalar;
   }
 }
@@ -222,8 +160,6 @@ QuantTreeKernel quant_tree_kernel(Level level) {
 #ifdef PWU_SIMD_HAS_AVX2
     case Level::Avx2: return detail::quant_tree_avx2;
 #endif
-    // Sse2 falls through: the integer rank walk has nothing for SSE2 to
-    // vectorize (see the tier comment above), so it runs the scalar loop.
     default: return quant_tree_scalar;
   }
 }

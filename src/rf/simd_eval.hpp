@@ -3,13 +3,10 @@
 // This is the only sanctioned doorway to vector intrinsics in the tree
 // engine (enforced by the pwu_lint rule `no-unchecked-simd`): callers pick
 // a kernel through flat_tree_kernel()/quant_tree_kernel() and never touch
-// <immintrin.h> themselves. Three tiers exist per node layout:
+// <immintrin.h> themselves. Two tiers exist per node layout:
 //
 //   Scalar  portable reference — the 8-row interleaved lockstep walk the
 //           pre-SIMD engine ran, restated over a contiguous row block;
-//   SSE2    flat16: 8-row lockstep with packed ordered compares (baseline
-//           on x86-64); quant8's rank walk is integer-only, so its SSE2
-//           tier shares the scalar loop;
 //   AVX2    flat16: 32 rows per tree level as eight 4-lane gather groups;
 //           quant8: 32 rows as four 8-lane epi32 groups walking on
 //           precomputed threshold ranks (see QuantTreeKernel).
@@ -21,11 +18,12 @@
 // handle numerical splits only: trees containing categorical splits take
 // the llround set-membership walk in flat_forest.cpp regardless of level.
 //
-// Selection: the strongest tier compiled in (PWU_SIMD CMake option) and
-// supported by the running CPU wins; the PWU_SIMD_LEVEL environment
-// variable (scalar|sse2|avx2) or set_level_override() clamps it down —
-// that is how the `simd` ctest preset pins the scalar fallback on AVX2
-// hosts, and how bench/micro_rf sweeps the matrix.
+// Selection: AVX2 wins when it is compiled in (PWU_SIMD CMake option,
+// auto|off) and supported by the running CPU; the PWU_SIMD_LEVEL
+// environment variable (scalar|avx2) or set_level_override() clamps it
+// down — that is how the `simd` ctest preset pins the scalar fallback on
+// AVX2 hosts, and how bench/micro_rf sweeps the matrix. An unrecognised
+// PWU_SIMD_LEVEL clamps to scalar, never up.
 
 #pragma once
 
@@ -40,7 +38,7 @@ struct QuantNode;
 
 namespace simd {
 
-enum class Level { Scalar = 0, Sse2 = 1, Avx2 = 2 };
+enum class Level { Scalar = 0, Avx2 = 1 };
 
 const char* level_name(Level level);
 
@@ -80,8 +78,15 @@ using QuantTreeKernel = void (*)(const QuantNode* nodes,
 FlatTreeKernel flat_tree_kernel(Level level);
 QuantTreeKernel quant_tree_kernel(Level level);
 
-/// Parses "scalar"/"sse2"/"avx2" (nullopt otherwise).
+/// Parses "scalar"/"avx2" (nullopt otherwise).
 std::optional<Level> parse_level(const char* name);
+
+/// The ceiling a PWU_SIMD_LEVEL value puts on dispatch: none (Avx2) when
+/// the variable is unset (nullptr), the named level when parse_level
+/// recognises it, and Scalar for any other value — a typo or a retired
+/// tier name must never lift a scalar pin. active_level() reads the
+/// variable once through this and warns about an unrecognised value.
+Level env_level_ceiling(const char* value);
 
 namespace detail {
 

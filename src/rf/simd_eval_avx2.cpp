@@ -243,7 +243,7 @@ void quant_tree_avx2(const QuantNode* nodes, const std::int32_t* ranks,
 
 #else  // PWU_SIMD_HAS_AVX2
 
-// The AVX2 tier is compiled out (PWU_SIMD=off/sse2/scalar): keep the TU
+// The AVX2 tier is compiled out (PWU_SIMD=off, or no -mavx2): keep the TU
 // non-empty without emitting symbols the dispatcher cannot reference.
 namespace pwu::rf::simd::detail {}
 

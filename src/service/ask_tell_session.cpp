@@ -186,8 +186,8 @@ AskPlan AskTellSession::plan_ask(std::size_t n) {
   }
 
   // Iteration phase (Algorithm 1, lines 5-9): predict over the pool, let
-  // the strategy pick a batch. The prediction pass itself is deferred to
-  // finish_ask so a fused caller can batch it with other sessions'.
+  // the strategy pick a batch. The prediction pass itself runs between
+  // plan_ask and finish_ask: inline in ask(), or in the caller.
   PWU_ASSERT(model_ != nullptr,
              "ask: cold start complete but no fitted surrogate");
   ++iteration_;

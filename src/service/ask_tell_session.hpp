@@ -96,15 +96,14 @@ struct CensoredObservation {
   double lower_bound = 0.0;
 };
 
-/// Deferred form of ask() for cross-session ask fusion
-/// (SessionManager::ask_fused). plan_ask() runs everything up to — but not
-/// including — the pool scoring pass; when `needs_scores` is set the caller
-/// computes exactly what ask() would have computed inline
-/// (model()->predict_stats_batch over pool_features(), bit for bit — any
-/// block schedule of the flat evaluator qualifies) and hands the stats to
-/// finish_ask(), which replays the strategy selection on the session's own
-/// rng stream. ask() itself is plan_ask + inline scoring + finish_ask, so
-/// the fused and unfused paths share one implementation and cannot drift.
+/// ask() split at the pool scoring pass, so a caller can run (and time)
+/// the scoring itself. plan_ask() runs everything up to — but not
+/// including — that pass; when `needs_scores` is set the caller computes
+/// exactly what ask() would have computed inline
+/// (model()->predict_stats_batch over pool_features(), bit for bit) and
+/// hands the stats to finish_ask(), which runs the strategy selection on
+/// the session's own rng stream. ask() itself is plan_ask + inline scoring
+/// + finish_ask, so the split and whole paths cannot drift.
 struct AskPlan {
   /// False: `candidates` already holds the complete answer (the session is
   /// done, or cold start — neither consults the surrogate). True: score
@@ -162,13 +161,12 @@ class AskTellSession {
 
   /// Second half of ask(): `stats` must be the surrogate's prediction for
   /// every current pool row (stats[i] scores pool_features().row(i)),
-  /// bit-identical to model()->predict_stats_batch — a fused caller gets
-  /// that for free because flat-forest row blocks evaluate independently.
+  /// bit-identical to model()->predict_stats_batch.
   std::vector<Candidate> finish_ask(const AskPlan& plan,
                                     const std::vector<rf::PredictionStats>& stats);
 
   /// Encoded pool rows (row i = features of the i-th remaining candidate)
-  /// — what a fused caller scores between plan_ask and finish_ask.
+  /// — what a caller scores between plan_ask and finish_ask.
   const rf::FeatureMatrix& pool_features() const { return pool_features_; }
 
   /// Deadline-expired form of ask(): answers *now*, without the due refit.

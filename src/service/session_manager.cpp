@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "rf/flat_forest.hpp"
 #include "space/pool.hpp"
 #include "util/contracts.hpp"
 #include "util/fs_atomic.hpp"
@@ -316,208 +315,6 @@ AskOutcome SessionManager::ask_with_deadline(const std::string& name,
   return outcome;
 }
 
-namespace {
-
-/// Sessions fuse their scoring passes only when they agree on workload and
-/// pool sizing — the shape under which interleaving their row blocks in
-/// one parallel region is obviously safe and load-balanced.
-std::string workload_fingerprint(const SessionSpec& spec) {
-  return spec.workload + "/" + std::to_string(spec.pool_size) + "/" +
-         std::to_string(spec.test_size);
-}
-
-}  // namespace
-
-std::vector<FusedAskResult> SessionManager::ask_fused(
-    const std::vector<FusedAskRequest>& requests, std::int64_t deadline_ms) {
-  const AutoCheckpointPolicy policy = auto_checkpoint_policy();
-  std::vector<FusedAskResult> results(requests.size());
-
-  // Resolve every name first (find() takes the registry mutex, which must
-  // never be acquired under an entry mutex). Duplicate names are rejected:
-  // a session cannot hold two outstanding batches, and admitting the pair
-  // would self-deadlock the sorted multi-lock below.
-  std::vector<std::shared_ptr<Entry>> entries(requests.size());
-  std::map<std::string, std::shared_ptr<Entry>> by_name;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    results[i].session = requests[i].session;
-    if (by_name.count(requests[i].session) != 0) {
-      results[i].error = "ask_fused: duplicate session '" +
-                         requests[i].session + "' in one fused request";
-      continue;
-    }
-    try {
-      entries[i] = find(requests[i].session);
-      by_name.emplace(requests[i].session, entries[i]);
-    } catch (const std::invalid_argument& e) {
-      results[i].error = e.what();
-    }
-  }
-
-  {
-    // Lock the entries in sorted-name order — one global order shared by
-    // every multi-lock acquirer keeps concurrent ask_fused calls (and the
-    // single-lock operations, which trivially respect any order)
-    // deadlock-free.
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(by_name.size());
-    for (auto& [name, entry] : by_name) locks.emplace_back(entry->mutex);
-
-    // Per-request admission, mirroring ask_with_deadline exactly. Requests
-    // whose session is cold-starting or done complete here (no scoring
-    // pass exists); the rest park their AskPlan for the fused pass.
-    struct ScoringJob {
-      std::size_t index = 0;  // into requests/results
-      AskPlan plan;
-      std::vector<rf::PredictionStats> stats;
-    };
-    std::vector<ScoringJob> jobs;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      const std::shared_ptr<Entry>& entry = entries[i];
-      if (!results[i].error.empty() || entry == nullptr) continue;
-      const std::string& name = requests[i].session;
-      const std::size_t count = requests[i].count;
-      try {
-        touch(*entry);
-        ensure_resumed(name, *entry, policy);
-        if (entry->quarantined) {
-          shed("session '" + name +
-               "' is quarantined (repeated refit timeouts)");
-        }
-        if (limits_.max_pending_asks != 0) {
-          const auto& config = entry->session->config();
-          const std::size_t want =
-              entry->session->phase() == SessionPhase::ColdStart
-                  ? config.n_init
-                  : (count != 0 ? count : config.n_batch);
-          if (want > limits_.max_pending_asks) {
-            shed("ask for " + std::to_string(want) +
-                 " candidates exceeds the pending-ask cap (" +
-                 std::to_string(limits_.max_pending_asks) + ")");
-          }
-        }
-        bool fresh = settle_refit(entry, deadline_ms);
-        if (fresh && entry->session->refit_due() && deadline_ms >= 0 &&
-            workers_ != nullptr && workers_->num_threads() > 1) {
-          schedule_refit(entry);
-          fresh = settle_refit(entry, deadline_ms);
-        }
-        if (entry->quarantined) {
-          shed("session '" + name +
-               "' is quarantined (repeated refit timeouts)");
-        }
-        if (fresh) {
-          AskPlan plan = entry->session->plan_ask(count);
-          if (!plan.needs_scores) {
-            results[i].outcome.candidates = std::move(plan.candidates);
-            update_footprint(name, *entry);
-          } else {
-            jobs.push_back({i, std::move(plan), {}});
-          }
-        } else {
-          const core::Surrogate* stale = entry->last_good.get();
-          const bool scored = stale != nullptr && stale->fitted();
-          results[i].outcome.candidates =
-              entry->session->ask_degraded(count, stale);
-          if (!results[i].outcome.candidates.empty()) {
-            results[i].outcome.degraded =
-                scored ? DegradedMode::StaleModel : DegradedMode::Random;
-            (scored ? degraded_stale_total_ : degraded_random_total_)
-                .fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      } catch (const OverloadError& e) {
-        results[i].error = e.what();
-        results[i].overloaded = true;
-      } catch (const std::exception& e) {
-        results[i].error = e.what();
-      }
-    }
-
-    // Fused scoring: group by workload fingerprint and run each group's
-    // pool predictions as ONE flattened (job, row-block) parallel region.
-    // Flat-forest row blocks evaluate independently, so any schedule over
-    // them — including interleaving blocks of different sessions' forests
-    // — yields bit-identical stats to each session scoring alone.
-    std::map<std::string, std::vector<std::size_t>> groups;
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      const Entry& entry = *entries[jobs[j].index];
-      groups[workload_fingerprint(entry.spec)].push_back(j);
-    }
-    for (const auto& [fingerprint, members] : groups) {
-      struct BlockTask {
-        std::size_t job = 0;  // into jobs
-        std::size_t begin = 0;
-        std::size_t end = 0;
-      };
-      std::vector<BlockTask> tasks;
-      std::vector<std::size_t> fallback;  // non-forest surrogates (GP)
-      for (const std::size_t j : members) {
-        const std::size_t i = jobs[j].index;
-        const AskTellSession& session = *entries[i]->session;
-        const std::size_t n = session.pool_features().num_rows();
-        jobs[j].stats.resize(n);
-        const rf::RandomForest* forest = core::as_forest(*session.model());
-        if (forest == nullptr) {
-          fallback.push_back(j);
-          continue;
-        }
-        for (std::size_t begin = 0; begin < n;
-             begin += rf::FlatForest::kRowBlock) {
-          tasks.push_back(
-              {j, begin, std::min(begin + rf::FlatForest::kRowBlock, n)});
-        }
-      }
-      auto run_task = [&](std::size_t k, std::vector<double>& scratch) {
-        const BlockTask& task = tasks[k];
-        const std::size_t i = jobs[task.job].index;
-        const AskTellSession& session = *entries[i]->session;
-        core::as_forest(*session.model())
-            ->flat()
-            .predict_stats_block(session.pool_features(), task.begin,
-                                 task.end, jobs[task.job].stats, scratch);
-      };
-      if (workers_ != nullptr && workers_->num_threads() > 1 &&
-          tasks.size() > 1) {
-        workers_->parallel_for(0, tasks.size(), [&](std::size_t k) {
-          thread_local std::vector<double> scratch;
-          run_task(k, scratch);
-        });
-      } else {
-        std::vector<double> scratch;
-        for (std::size_t k = 0; k < tasks.size(); ++k) run_task(k, scratch);
-      }
-      // Surrogates without a flat forest (the GP) cannot join the block
-      // grid; score them exactly as their own ask() would have.
-      for (const std::size_t j : fallback) {
-        const std::size_t i = jobs[j].index;
-        const AskTellSession& session = *entries[i]->session;
-        jobs[j].stats =
-            session.model()->predict_stats_batch(session.pool_features(),
-                                                 workers_);
-      }
-      fused_groups_.fetch_add(1, std::memory_order_relaxed);
-      fused_scored_.fetch_add(members.size(), std::memory_order_relaxed);
-    }
-
-    // Finish in request order: each session replays its strategy selection
-    // on its own rng, exactly as its unfused ask() would have.
-    for (ScoringJob& job : jobs) {
-      const std::size_t i = job.index;
-      const std::string& name = requests[i].session;
-      try {
-        results[i].outcome.candidates =
-            entries[i]->session->finish_ask(job.plan, job.stats);
-        update_footprint(name, *entries[i]);
-      } catch (const std::exception& e) {
-        results[i].error = e.what();
-      }
-    }
-  }
-  enforce_budget();
-  return results;
-}
-
 void SessionManager::schedule_refit(const std::shared_ptr<Entry>& entry) const {
   // Caller holds entry->mutex. Snapshot the current model first: it is
   // what deadline-expired asks score the pool with while the fresh fit
@@ -754,8 +551,6 @@ HealthReport SessionManager::health() const {
   report.lazy_resumes = lazy_resumes_.load(std::memory_order_relaxed);
   report.watchdog_timeouts =
       watchdog_timeouts_.load(std::memory_order_relaxed);
-  report.fused_groups = fused_groups_.load(std::memory_order_relaxed);
-  report.fused_scored_asks = fused_scored_.load(std::memory_order_relaxed);
   report.idem_replays = idem_replays_.load(std::memory_order_relaxed);
   report.fence_epoch = fence_epoch_.load(std::memory_order_relaxed);
 

@@ -116,24 +116,6 @@ struct SessionHealth {
   std::size_t degraded_random_asks = 0;
 };
 
-/// One session's slot in an ask_fused() call.
-struct FusedAskRequest {
-  std::string session;
-  /// Batch size (0 = the session default), as in ask().
-  std::size_t count = 0;
-};
-
-/// Per-request outcome of ask_fused(). Exactly one of {outcome, error} is
-/// meaningful: a failed request reports the error it would have thrown
-/// from ask_with_deadline without disturbing its siblings.
-struct FusedAskResult {
-  std::string session;
-  AskOutcome outcome;
-  std::string error;
-  /// The error was an OverloadError (shed), not a hard failure.
-  bool overloaded = false;
-};
-
 /// Non-blocking process-level health snapshot (the `health` protocol op).
 struct HealthReport {
   std::size_t sessions_live = 0;
@@ -152,10 +134,6 @@ struct HealthReport {
   std::uint64_t evictions = 0;
   std::uint64_t lazy_resumes = 0;
   std::uint64_t watchdog_timeouts = 0;
-  /// Fingerprint groups whose pool scoring ran as one fused pass, and the
-  /// sessions scored inside such passes (ask_fused).
-  std::uint64_t fused_groups = 0;
-  std::uint64_t fused_scored_asks = 0;
   /// Duplicated mutating ops answered from the idempotency window instead
   /// of re-executed, and the current fencing epoch (DESIGN.md §15).
   std::uint64_t idem_replays = 0;
@@ -199,21 +177,6 @@ class SessionManager {
   /// is quarantined or the request exceeds the pending-ask cap.
   AskOutcome ask_with_deadline(const std::string& name, std::size_t count,
                                std::int64_t deadline_ms);
-
-  /// Serves several sessions' asks in one call, coalescing the surrogate
-  /// scoring passes of sessions that share a workload fingerprint (same
-  /// workload, pool sizing, and feature schema) into one flattened
-  /// (session, row-block) parallel region — one trip through the worker
-  /// pool instead of one per session. Protocol-invisible: every session
-  /// consumes its own rng stream exactly as an individual
-  /// ask_with_deadline(name, count, deadline_ms) would, so the returned
-  /// candidate sequences are bit-identical to unfused asks (enforced by
-  /// tests/test_ask_fusion.cpp). Per-request failures (unknown session,
-  /// quarantine, pending-ask cap) are reported in that request's slot and
-  /// never disturb the others. Duplicate session names are rejected (the
-  /// second slot errors): a session cannot answer two asks at once anyway.
-  std::vector<FusedAskResult> ask_fused(
-      const std::vector<FusedAskRequest>& requests, std::int64_t deadline_ms);
 
   /// Reports one measured label. The refit triggered by a completed batch
   /// runs on the worker pool when one is available.
@@ -468,8 +431,6 @@ class SessionManager {
   mutable std::atomic<std::uint64_t> evictions_{0};
   mutable std::atomic<std::uint64_t> lazy_resumes_{0};
   mutable std::atomic<std::uint64_t> watchdog_timeouts_{0};
-  mutable std::atomic<std::uint64_t> fused_groups_{0};
-  mutable std::atomic<std::uint64_t> fused_scored_{0};
 
   /// Idempotency windows live beside the registry (own leaf mutex, never
   /// held together with registry or entry mutexes) so dedup bookkeeping

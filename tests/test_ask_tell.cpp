@@ -14,6 +14,8 @@
 #include "core/active_learner.hpp"
 #include "core/metrics.hpp"
 #include "core/sampling_strategy.hpp"
+#include "throwing_contract_scope.hpp"
+#include "workloads/registry.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace pwu::service {
@@ -225,6 +227,98 @@ TEST_F(AskTellSessionTest, RestoreRejectsGarbage) {
   EXPECT_THROW(AskTellSession::restore(workload_->space(), bad),
                std::runtime_error);
 }
+
+// ---- ask() split at the scoring pass: plan_ask -> score -> finish_ask ----
+
+/// Drives twin sessions to done(): `whole` through ask(), `split` through
+/// plan_ask, its own predict_stats_batch over pool_features(), and
+/// finish_ask. Both are told the same labels, so every batch must match
+/// config for config and prediction bit for bit.
+void expect_split_ask_matches_ask(const workloads::Workload& workload) {
+  core::LearnerConfig cfg;
+  cfg.n_init = 8;
+  cfg.n_batch = 3;
+  cfg.n_max = 29;
+  cfg.forest.num_trees = 10;
+  util::Rng pool_rng(11);
+  const auto pool =
+      space::make_pool_split(workload.space(), 300, 0, pool_rng).pool;
+  AskTellSession whole(workload.space(), StrategySpec{"pwu", 0.05}, cfg, pool,
+                       /*seed=*/5);
+  AskTellSession split(workload.space(), StrategySpec{"pwu", 0.05}, cfg, pool,
+                       /*seed=*/5);
+  util::Rng measure_rng(77);
+  std::size_t scored_batches = 0;
+  while (!whole.done()) {
+    const std::vector<Candidate> expected = whole.ask();
+    AskPlan plan = split.plan_ask();
+    std::vector<Candidate> got;
+    if (plan.needs_scores) {
+      got = split.finish_ask(
+          plan, split.model()->predict_stats_batch(split.pool_features()));
+      ++scored_batches;
+    } else {
+      got = std::move(plan.candidates);
+    }
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE("batch candidate " + std::to_string(i));
+      EXPECT_EQ(got[i].config, expected[i].config);
+      EXPECT_EQ(got[i].has_prediction, expected[i].has_prediction);
+      EXPECT_EQ(got[i].predicted_mean, expected[i].predicted_mean);
+      EXPECT_EQ(got[i].predicted_stddev, expected[i].predicted_stddev);
+      EXPECT_EQ(got[i].iteration, expected[i].iteration);
+      const double label = workload.measure(expected[i].config, measure_rng, 1);
+      whole.tell(expected[i].config, label);
+      split.tell(got[i].config, label);
+    }
+  }
+  EXPECT_TRUE(split.done());
+  EXPECT_GT(scored_batches, 0u);
+  EXPECT_EQ(whole.train_labels(), split.train_labels());
+  EXPECT_EQ(whole.iteration(), split.iteration());
+}
+
+TEST_F(AskTellSessionTest, PlanScoreFinishMatchesAskOnNumericWorkload) {
+  expect_split_ask_matches_ask(*workload_);
+}
+
+TEST(AskTellSplit, PlanScoreFinishMatchesAskOnCategoricalWorkload) {
+  // kripke's layout and pmethod parameters are categorical, so its trees
+  // take the set-membership walk instead of the SIMD kernels.
+  expect_split_ask_matches_ask(*workloads::make_workload("kripke"));
+}
+
+#if PWU_CONTRACTS_ENABLED
+
+TEST_F(AskTellSessionTest, FinishAskRejectsCompletePlanAndWrongScoreCount) {
+  util::ThrowingHandlerScope scope;
+  AskTellSession session(workload_->space(), StrategySpec{}, small_config(),
+                         pool_, /*seed=*/5);
+  util::Rng measure_rng(77);
+  // Cold start needs no scores: its plan is already complete.
+  const AskPlan cold = session.plan_ask();
+  ASSERT_FALSE(cold.needs_scores);
+  EXPECT_THROW(session.finish_ask(cold, {}), util::ContractViolation);
+  for (const Candidate& c : cold.candidates) {
+    session.tell(c.config, workload_->measure(c.config, measure_rng, 1));
+  }
+  const AskPlan plan = session.plan_ask();
+  ASSERT_TRUE(plan.needs_scores);
+  std::vector<rf::PredictionStats> stats =
+      session.model()->predict_stats_batch(session.pool_features());
+  stats.pop_back();
+  EXPECT_THROW(session.finish_ask(plan, stats), util::ContractViolation);
+}
+
+#else  // !PWU_CONTRACTS_ENABLED
+
+TEST_F(AskTellSessionTest, FinishAskRejectsCompletePlanAndWrongScoreCount) {
+  GTEST_SKIP() << "contracts are compiled out (NDEBUG); run the asan or "
+                  "tsan preset to exercise them";
+}
+
+#endif
 
 // ---- Acceptance property: ask/tell == batch driver, >= 50 samples. ----
 

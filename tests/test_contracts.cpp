@@ -11,25 +11,13 @@
 #include <string>
 
 #include "rf/dataset.hpp"
+#include "throwing_contract_scope.hpp"
 #include "util/rng.hpp"
 
 namespace pwu::util {
 namespace {
 
 #if PWU_CONTRACTS_ENABLED
-
-/// Installs a throwing handler for the test's scope so a violation becomes
-/// a catchable exception instead of an abort.
-class ThrowingHandlerScope {
- public:
-  ThrowingHandlerScope()
-      : previous_(set_contract_handler(
-            [](const ContractViolation& v) -> void { throw v; })) {}
-  ~ThrowingHandlerScope() { set_contract_handler(previous_); }
-
- private:
-  ContractHandler previous_;
-};
 
 TEST(Contracts, ViolationCarriesStructuredDiagnostic) {
   ThrowingHandlerScope scope;

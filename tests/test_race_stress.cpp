@@ -247,82 +247,6 @@ TEST(RaceStress, ConcurrentDegradedAsksWhileRefitsRun) {
   EXPECT_EQ(health.overloaded_sheds, 0u);
 }
 
-TEST(RaceStress, ConcurrentFusedAsksWhileRefitsSwap) {
-  // Two fuser threads each drive a disjoint trio of sessions through
-  // ask_fused while their tells schedule background refits on the shared
-  // pool — fused scoring passes, refit swaps, and a health/checkpoint
-  // poller all overlap. Fusion must stay a pure scheduling change: every
-  // session's labels match the serial single-session reference exactly.
-  constexpr std::size_t kGroups = 2;
-  constexpr std::size_t kPerGroup = 3;
-  const auto workload = workloads::make_workload("gesummv");
-
-  std::vector<double> serial_best(kGroups * kPerGroup);
-  {
-    SessionManager serial;
-    for (std::size_t i = 0; i < serial_best.size(); ++i) {
-      const std::string name = "f" + std::to_string(i);
-      serial.create(name, stress_spec(2000 + 31 * i));
-      serial_best[i] = drive(serial, name).best_observed;
-    }
-  }
-
-  util::ThreadPool workers(4);
-  SessionManager manager(&workers);
-  for (std::size_t i = 0; i < serial_best.size(); ++i) {
-    manager.create("f" + std::to_string(i), stress_spec(2000 + 31 * i));
-  }
-
-  std::atomic<std::size_t> finished{0};
-  std::vector<std::thread> fusers;
-  fusers.reserve(kGroups);
-  for (std::size_t g = 0; g < kGroups; ++g) {
-    fusers.emplace_back([&, g] {
-      std::vector<std::string> names;
-      std::vector<util::Rng> measure;
-      for (std::size_t k = 0; k < kPerGroup; ++k) {
-        names.push_back("f" + std::to_string(g * kPerGroup + k));
-        measure.emplace_back(manager.status(names.back()).measure_seed);
-      }
-      bool open = true;
-      while (open) {
-        open = false;
-        std::vector<FusedAskRequest> requests;
-        for (const auto& name : names) requests.push_back({name, 0});
-        const auto results = manager.ask_fused(requests, -1);
-        for (std::size_t k = 0; k < kPerGroup; ++k) {
-          EXPECT_TRUE(results[k].error.empty()) << results[k].error;
-          if (results[k].outcome.candidates.empty()) continue;
-          open = true;
-          for (const Candidate& c : results[k].outcome.candidates) {
-            manager.tell(names[k], c.config,
-                         workload->measure(c.config, measure[k], 1));
-          }
-        }
-      }
-      finished.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-
-  std::thread poller([&] {
-    while (finished.load(std::memory_order_relaxed) < kGroups) {
-      const HealthReport health = manager.health();
-      EXPECT_EQ(health.sessions.size(), serial_best.size());
-      std::this_thread::yield();
-    }
-  });
-  for (auto& t : fusers) t.join();
-  poller.join();
-
-  for (std::size_t i = 0; i < serial_best.size(); ++i) {
-    const SessionStatus st = manager.status("f" + std::to_string(i));
-    EXPECT_TRUE(st.done);
-    EXPECT_EQ(st.labeled, 14u);
-    EXPECT_EQ(st.best_observed, serial_best[i]);
-  }
-  EXPECT_GT(manager.health().fused_groups, 0u);
-}
-
 TEST(RaceStress, DeferredCheckpointCommitKeepsTheNewestImage) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "pwu_race_ckpt";

@@ -33,9 +33,6 @@ namespace {
 /// Every tier the dispatcher can actually select on this build + CPU.
 std::vector<simd::Level> available_levels() {
   std::vector<simd::Level> levels = {simd::Level::Scalar};
-  if (simd::detected_level() >= simd::Level::Sse2) {
-    levels.push_back(simd::Level::Sse2);
-  }
   if (simd::detected_level() >= simd::Level::Avx2) {
     levels.push_back(simd::Level::Avx2);
   }
@@ -50,10 +47,8 @@ struct LevelGuard {
 
 TEST(SimdEval, LevelParsingAndDetection) {
   EXPECT_STREQ(simd::level_name(simd::Level::Scalar), "scalar");
-  EXPECT_STREQ(simd::level_name(simd::Level::Sse2), "sse2");
   EXPECT_STREQ(simd::level_name(simd::Level::Avx2), "avx2");
   EXPECT_EQ(simd::parse_level("avx2"), simd::Level::Avx2);
-  EXPECT_EQ(simd::parse_level("sse2"), simd::Level::Sse2);
   EXPECT_EQ(simd::parse_level("scalar"), simd::Level::Scalar);
   EXPECT_FALSE(simd::parse_level("avx512").has_value());
   EXPECT_FALSE(simd::parse_level(nullptr).has_value());
@@ -65,6 +60,19 @@ TEST(SimdEval, LevelParsingAndDetection) {
   }
   EXPECT_LE(static_cast<int>(simd::active_level()),
             static_cast<int>(simd::detected_level()));
+}
+
+TEST(SimdEval, UnrecognisedEnvLevelClampsDispatchToScalar) {
+  // Unset means no ceiling; a recognised value is its own ceiling.
+  EXPECT_EQ(simd::env_level_ceiling(nullptr), simd::Level::Avx2);
+  EXPECT_EQ(simd::env_level_ceiling("avx2"), simd::Level::Avx2);
+  EXPECT_EQ(simd::env_level_ceiling("scalar"), simd::Level::Scalar);
+  // Anything else — a typo, or the retired sse2 tier — must not undo the
+  // scalar pin of the simd presets by lifting dispatch to AVX2.
+  EXPECT_FALSE(simd::parse_level("sse2").has_value());
+  EXPECT_EQ(simd::env_level_ceiling("sse2"), simd::Level::Scalar);
+  EXPECT_EQ(simd::env_level_ceiling("Scalar"), simd::Level::Scalar);
+  EXPECT_EQ(simd::env_level_ceiling(""), simd::Level::Scalar);
 }
 
 // ---- direct kernel tests on hand-built node tables ------------------------
