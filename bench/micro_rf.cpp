@@ -9,10 +9,12 @@
 //   fit        the presorted-column fitter (2000 x 12 rows, 50 trees)
 //   reference  per-row tree walks over the original node tables ("before")
 //   flat       the blocked FlatForest engine ("after", what predict_stats
-//              actually routes through)
-// plus the bit-exactness check that flat == reference on every pool row.
-// The seed_baseline_* constants are the pre-overhaul numbers measured on
-// the same container (single-threaded), kept for before/after context.
+//              actually routes through), at the dispatched SIMD level
+// plus the bit-exactness check that flat == reference on every pool row,
+// and a sweep of the engine's kernel tiers (scalar|avx2), each pinned and
+// checked bit-exact the same way. The seed_baseline_* constants are the
+// pre-overhaul numbers measured on the same container (single-threaded),
+// kept for before/after context.
 
 #include <algorithm>
 #include <chrono>
@@ -21,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "rf/quantized_layout.hpp"
 #include "rf/random_forest.hpp"
 #include "rf/simd_eval.hpp"
 #include "util/rng.hpp"
@@ -131,24 +132,19 @@ int main(int argc, char** argv) {
   const double flat_rows_per_sec = 1000.0 * pool_rows / flat_ms;
   const double ref_rows_per_sec = 1000.0 * pool_rows / ref_ms;
 
-  // ---- SIMD matrix: dispatch level x node layout over the same pool ----
-  // Each cell is timed with the level pinned via set_level_override, checked
+  // ---- SIMD levels: each kernel tier over the same pool ----
+  // Each tier is timed with the level pinned via set_level_override, checked
   // bit-for-bit against the reference walks, and reported relative to the
-  // scalar 16-byte row so the kernel speedup is separated from the engine
-  // speedup above.
+  // scalar tier so the kernel speedup is separated from the engine speedup
+  // above.
   namespace simd = pwu::rf::simd;
-  pwu::rf::QuantizedForest quant;
-  const bool quant_built = quant.build(forest.flat());
-
-  struct MatrixCell {
+  struct LevelCell {
     const char* level;
-    const char* layout;
     double ms = 0.0;
     bool bit_exact = true;
     bool available = false;
   };
-  std::vector<MatrixCell> matrix;
-  std::vector<PredictionStats> simd_out(pool_rows);
+  std::vector<LevelCell> cells;
   const auto exact_vs_ref = [&](const std::vector<PredictionStats>& got) {
     for (std::size_t i = 0; i < pool_rows; ++i) {
       if (got[i].mean != ref_out[i].mean ||
@@ -159,35 +155,24 @@ int main(int argc, char** argv) {
     return true;
   };
   for (const simd::Level level : {simd::Level::Scalar, simd::Level::Avx2}) {
-    MatrixCell flat_cell{simd::level_name(level), "flat16"};
-    MatrixCell quant_cell{simd::level_name(level), "quant8"};
+    LevelCell cell{simd::level_name(level)};
     if (level <= simd::detected_level()) {
       simd::set_level_override(level);
-      flat_cell.available = true;
-      flat_cell.ms = time_best_ms(5, [&] {
-        forest.flat().predict_stats(pool, simd_out);
-      });
-      flat_cell.bit_exact = exact_vs_ref(simd_out);
-      if (quant_built) {
-        quant_cell.available = true;
-        quant_cell.ms = time_best_ms(5, [&] {
-          quant.predict_stats(pool, simd_out);
-        });
-        quant_cell.bit_exact = exact_vs_ref(simd_out);
-      }
+      std::vector<PredictionStats> out;
+      cell.available = true;
+      cell.ms = time_best_ms(5, [&] { out = forest.predict_stats_batch(pool); });
+      cell.bit_exact = exact_vs_ref(out);
       simd::clear_level_override();
     }
-    matrix.push_back(flat_cell);
-    matrix.push_back(quant_cell);
+    cells.push_back(cell);
   }
-  const double scalar_flat_ms = matrix[0].ms;
+  const double scalar_ms = cells[0].ms;
   double best_kernel_speedup = 1.0;
-  bool matrix_exact = true;
-  for (const MatrixCell& cell : matrix) {
+  bool levels_exact = true;
+  for (const LevelCell& cell : cells) {
     if (!cell.available) continue;
-    matrix_exact = matrix_exact && cell.bit_exact;
-    best_kernel_speedup =
-        std::max(best_kernel_speedup, scalar_flat_ms / cell.ms);
+    levels_exact = levels_exact && cell.bit_exact;
+    best_kernel_speedup = std::max(best_kernel_speedup, scalar_ms / cell.ms);
   }
 
   std::ofstream json(out_path);
@@ -209,23 +194,22 @@ int main(int argc, char** argv) {
        << "    \"speedup_vs_reference\": " << ref_ms / flat_ms << ",\n"
        << "    \"speedup_vs_seed\": " << kSeedPredictMs / flat_ms << "\n"
        << "  },\n"
-       << "  \"simd_matrix\": {\n"
+       << "  \"simd_levels\": {\n"
        << "    \"detected_level\": \""
        << simd::level_name(simd::detected_level()) << "\",\n"
        << "    \"pool_rows\": " << pool_rows << ", \"trees\": 200,\n"
        << "    \"cells\": [\n";
-  for (std::size_t i = 0; i < matrix.size(); ++i) {
-    const MatrixCell& cell = matrix[i];
-    json << "      {\"level\": \"" << cell.level << "\", \"layout\": \""
-         << cell.layout << "\", \"available\": "
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const LevelCell& cell = cells[i];
+    json << "      {\"level\": \"" << cell.level << "\", \"available\": "
          << (cell.available ? "true" : "false");
     if (cell.available) {
       json << ", \"ms\": " << cell.ms << ", \"rows_per_sec\": "
            << 1000.0 * pool_rows / cell.ms << ", \"speedup_vs_scalar\": "
-           << scalar_flat_ms / cell.ms << ", \"bit_exact\": "
+           << scalar_ms / cell.ms << ", \"bit_exact\": "
            << (cell.bit_exact ? "true" : "false");
     }
-    json << "}" << (i + 1 < matrix.size() ? "," : "") << "\n";
+    json << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   json << "    ],\n"
        << "    \"best_kernel_speedup_vs_scalar\": " << best_kernel_speedup
@@ -233,7 +217,7 @@ int main(int argc, char** argv) {
        << "    \"target_speedup\": 2.0,\n"
        << "    \"target_met\": "
        << (best_kernel_speedup >= 2.0 ? "true" : "false") << ",\n"
-       << "    \"bit_exact\": " << (matrix_exact ? "true" : "false") << "\n"
+       << "    \"bit_exact\": " << (levels_exact ? "true" : "false") << "\n"
        << "  },\n"
        << "  \"bit_exact\": " << (bit_exact ? "true" : "false") << "\n"
        << "}\n";
@@ -250,12 +234,12 @@ int main(int argc, char** argv) {
             << "  flat vs reference: " << ref_ms / flat_ms << "x, vs seed: "
             << kSeedPredictMs / flat_ms << "x\n"
             << "bit-exact flat == reference: " << (bit_exact ? "yes" : "NO")
-            << "\nsimd matrix (detected " << simd::level_name(simd::detected_level())
+            << "\nsimd levels (detected " << simd::level_name(simd::detected_level())
             << "):\n";
-  for (const MatrixCell& cell : matrix) {
-    std::cout << "  " << cell.level << " x " << cell.layout << ": ";
+  for (const LevelCell& cell : cells) {
+    std::cout << "  " << cell.level << ": ";
     if (cell.available) {
-      std::cout << cell.ms << " ms (" << scalar_flat_ms / cell.ms
+      std::cout << cell.ms << " ms (" << scalar_ms / cell.ms
                 << "x scalar, bit-exact " << (cell.bit_exact ? "yes" : "NO")
                 << ")\n";
     } else {
@@ -265,5 +249,5 @@ int main(int argc, char** argv) {
   std::cout << "  best kernel speedup vs scalar: " << best_kernel_speedup
             << "x (target 2x " << (best_kernel_speedup >= 2.0 ? "met" : "MISSED")
             << ")\nwrote " << out_path << "\n";
-  return bit_exact && matrix_exact ? 0 : 1;
+  return bit_exact && levels_exact ? 0 : 1;
 }

@@ -1,5 +1,7 @@
 #include "rf/flat_forest.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
@@ -11,336 +13,266 @@ namespace pwu::rf {
 
 namespace {
 
-/// Leaf value for one row in one tree. Routing replicates Split::goes_left
-/// exactly: numerical go left iff value <= threshold, categorical go left
-/// iff the level's mask bit is set (levels >= 64 go right).
-inline double traverse(const FlatNode* nodes, const double* row) {
-  std::uint32_t i = 0;
-  for (;;) {
-    const FlatNode node = nodes[i];
-    if (node.feature < 0) return node.payload;
-    const double v = row[node.feature & FlatNode::kFeatureMask];
-    bool left;
-    if (node.feature & FlatNode::kCategoricalFlag) {
-      const auto level = static_cast<std::uint64_t>(std::llround(v));
-      left = level < 64 &&
-             ((std::bit_cast<std::uint64_t>(node.payload) >> level) & 1ULL);
-    } else {
-      left = v <= node.payload;
-    }
-    i = static_cast<std::uint32_t>(node.left) + (left ? 0u : 1u);
-  }
+/// Largest table a 16-bit code can index.
+constexpr std::size_t kCodeCapacity = 65536;
+
+/// One step of the power-of-two bit-set form of lower_bound over the sorted
+/// codebook cb[0, size): advance past cb[cur + step - 1] when it exists and
+/// is < v. The conditions fold to cmov, so the search never mispredicts.
+inline std::uint32_t search_step(const double* cb, std::uint32_t size,
+                                 std::uint32_t cur, std::uint32_t step,
+                                 double v) {
+  const std::uint32_t cand = cur + step;
+  const bool in = cand <= size;
+  const double probe = cb[in ? cand - 1 : 0];
+  return (in & (probe < v)) ? cand : cur;
 }
 
-/// Rows interleaved per traversal step. A single row's walk is a chain of
-/// dependent loads (each node address depends on the previous node's
-/// outcome); stepping a group of rows through the same tree in lockstep
-/// keeps that many independent chains in flight, so the node-load latency
-/// overlaps instead of serializing.
-constexpr std::size_t kGroup = 8;
-
-/// Walks `g` (<= kGroup) rows through one tree simultaneously and writes
-/// each row's leaf value to out[j]. Rows that reach a leaf early just
-/// re-test the (cached) leaf node until the stragglers finish; outputs are
-/// identical to per-row traverse().
-inline void traverse_group(const FlatNode* nodes,
-                           const double* const* row_ptrs, std::size_t g,
-                           double* out) {
-  std::uint32_t cur[kGroup] = {};
-  for (;;) {
-    bool active = false;
-    for (std::size_t j = 0; j < g; ++j) {
-      const FlatNode node = nodes[cur[j]];
-      if (node.feature < 0) continue;
-      active = true;
-      const double v = row_ptrs[j][node.feature & FlatNode::kFeatureMask];
-      bool left;
-      if (node.feature & FlatNode::kCategoricalFlag) {
-        const auto level = static_cast<std::uint64_t>(std::llround(v));
-        left = level < 64 &&
-               ((std::bit_cast<std::uint64_t>(node.payload) >> level) & 1ULL);
-      } else {
-        left = v <= node.payload;
-      }
-      cur[j] = static_cast<std::uint32_t>(node.left) + (left ? 0u : 1u);
-    }
-    if (!active) break;
+/// Number of codebook entries < v: the index of the first entry >= v (0
+/// for NaN, which compares false against everything).
+inline std::uint32_t count_below(const double* cb, std::uint32_t size,
+                                 double v) {
+  std::uint32_t cur = 0;
+  for (std::uint32_t step = size == 0 ? 0 : std::bit_floor(size); step != 0;
+       step >>= 1) {
+    cur = search_step(cb, size, cur, step, v);
   }
-  for (std::size_t j = 0; j < g; ++j) out[j] = nodes[cur[j]].payload;
+  return cur;
 }
 
 }  // namespace
 
-void FlatForest::build(std::span<const DecisionTree> trees) {
+bool FlatForest::build(std::span<const DecisionTree> trees) {
   clear();
+  // Pass 1: per-feature threshold codebooks (sorted distinct doubles) and
+  // the categorical-mask table. Tuning parameters have few levels, so most
+  // thresholds repeat across the forest; a small direct-mapped filter drops
+  // repeats before the sort. It is only a filter: sort + unique below still
+  // remove whatever slips past it.
+  struct Seen {
+    std::uint64_t bits = 0;
+    int feature = -1;
+  };
+  std::array<Seen, 1024> seen{};
+  std::vector<std::vector<double>> codebooks;
   std::size_t total = 0;
-  for (const auto& tree : trees) total += tree.num_nodes();
+  for (const auto& tree : trees) {
+    if (!tree.fitted()) {
+      throw std::logic_error("FlatForest::build: unfitted tree");
+    }
+    total += tree.num_nodes();
+    for (const auto& node : tree.nodes()) {
+      if (node.is_leaf()) continue;
+      const Split& split = node.split;
+      // A NaN threshold would break the codebook's sort and unique.
+      if (split.feature >= RankNode::kFeatureMask ||
+          (!split.categorical && std::isnan(split.threshold))) {
+        clear();
+        return false;
+      }
+      if (split.categorical) {
+        cat_masks_.push_back(split.left_mask);
+        continue;
+      }
+      const auto bits = std::bit_cast<std::uint64_t>(split.threshold);
+      Seen& slot = seen[((bits ^ static_cast<std::uint64_t>(split.feature)) *
+                         std::uint64_t{0x9E3779B97F4A7C15}) >>
+                        54];
+      if (slot.bits == bits && slot.feature == split.feature) continue;
+      slot = {bits, split.feature};
+      const auto feature = static_cast<std::size_t>(split.feature);
+      if (codebooks.size() <= feature) codebooks.resize(feature + 1);
+      codebooks[feature].push_back(split.threshold);
+    }
+  }
+  std::sort(cat_masks_.begin(), cat_masks_.end());
+  cat_masks_.erase(std::unique(cat_masks_.begin(), cat_masks_.end()),
+                   cat_masks_.end());
+  feature_base_.reserve(codebooks.size() + 1);
+  for (auto& codebook : codebooks) {
+    std::sort(codebook.begin(), codebook.end());
+    codebook.erase(std::unique(codebook.begin(), codebook.end()),
+                   codebook.end());
+    feature_base_.push_back(static_cast<std::uint32_t>(thresholds_.size()));
+    thresholds_.insert(thresholds_.end(), codebook.begin(), codebook.end());
+  }
+  feature_base_.push_back(static_cast<std::uint32_t>(thresholds_.size()));
+  if (thresholds_.size() > kCodeCapacity ||
+      cat_masks_.size() > kCodeCapacity) {
+    clear();
+    return false;
+  }
+
+  // Pass 2: emit every tree's nodes in breadth-first order. A node's flat
+  // local index is its position in the BFS order; children are appended
+  // together, so right child = left child + 1 by layout.
   nodes_.reserve(total);
+  leaf_values_.reserve(total / 2 + trees.size());
   tree_offsets_.reserve(trees.size() + 1);
-
   tree_categorical_.reserve(trees.size());
-
   std::vector<std::int32_t> bfs;  // original node ids in breadth-first order
   for (const auto& tree : trees) {
     const auto& src_nodes = tree.nodes();
-    if (src_nodes.empty()) {
-      throw std::logic_error("FlatForest::build: unfitted tree");
-    }
-    bfs.assign(1, 0);
+    const std::size_t base = nodes_.size();
     bool categorical = false;
-    // Flat local index of a node == its position in the BFS order; children
-    // are appended together, so right child = left child + 1 by layout.
+    bfs.assign(1, 0);
     for (std::size_t head = 0; head < bfs.size(); ++head) {
       const auto& src = src_nodes[static_cast<std::size_t>(bfs[head])];
-      FlatNode node;
+      RankNode node;
       if (src.is_leaf()) {
-        node.payload = src.value;
+        node.left = static_cast<std::int32_t>(leaf_values_.size());
+        leaf_values_.push_back(src.value);
       } else {
-        categorical = categorical || src.split.categorical;
-        node.feature = src.split.feature |
-                       (src.split.categorical ? FlatNode::kCategoricalFlag : 0);
-        node.payload = src.split.categorical
-                           ? std::bit_cast<double>(src.split.left_mask)
-                           : src.split.threshold;
+        const auto feature = static_cast<std::uint16_t>(src.split.feature);
+        if (src.split.categorical) {
+          categorical = true;
+          node.feature =
+              static_cast<std::uint16_t>(feature | RankNode::kCategorical);
+          node.code = static_cast<std::uint16_t>(
+              std::lower_bound(cat_masks_.begin(), cat_masks_.end(),
+                               src.split.left_mask) -
+              cat_masks_.begin());
+        } else {
+          const std::uint32_t first = feature_base_[feature];
+          const std::uint32_t code =
+              first + count_below(thresholds_.data() + first,
+                                  feature_base_[feature + 1] - first,
+                                  src.split.threshold);
+          PWU_ASSERT(thresholds_[code] == src.split.threshold,
+                     "FlatForest::build: threshold missing from codebook");
+          node.feature = feature;
+          node.code = static_cast<std::uint16_t>(code);
+        }
         node.left = static_cast<std::int32_t>(bfs.size());
         bfs.push_back(src.left);
         bfs.push_back(src.right);
       }
       nodes_.push_back(node);
     }
-    // Every BFS slot was visited exactly once and every split's left child
+    // Every BFS slot was visited exactly once, so every split's left child
     // (and its implicit right sibling) stays inside this tree's node table.
     PWU_ENSURE(bfs.size() == src_nodes.size(),
                "FlatForest::build: BFS covered " << bfs.size() << " of "
                                                  << src_nodes.size()
                                                  << " nodes");
-    const std::size_t base = nodes_.size() - src_nodes.size();
-    for (std::size_t i = base; i < nodes_.size(); ++i) {
-      PWU_ASSERT(nodes_[i].feature < 0 ||
-                     static_cast<std::size_t>(nodes_[i].left) + 1 <
-                         src_nodes.size(),
-                 "FlatForest::build: child index " << nodes_[i].left
-                                                   << " out of tree range "
-                                                   << src_nodes.size());
-    }
     tree_offsets_.push_back(static_cast<std::uint32_t>(base));
     tree_categorical_.push_back(categorical ? 1 : 0);
+    any_numerical_tree_ = any_numerical_tree_ || !categorical;
   }
   tree_offsets_.push_back(static_cast<std::uint32_t>(nodes_.size()));
-  PWU_ENSURE(tree_offsets_.back() == nodes_.size() && nodes_.size() == total,
+  PWU_ENSURE(nodes_.size() == total,
              "FlatForest::build: node table/offset mismatch");
+  return true;
 }
 
-void FlatForest::clear() {
-  nodes_.clear();
-  tree_offsets_.clear();
-  tree_categorical_.clear();
-}
+void FlatForest::clear() { *this = FlatForest(); }
 
-double FlatForest::predict_one(std::span<const double> row) const {
-  const std::size_t num = num_trees();
-  if (num == 0) {
-    throw std::logic_error("FlatForest::predict_one: empty forest");
+double FlatForest::walk(std::size_t t, const double* row) const {
+  // Routing replicates Split::goes_left exactly: numerical go left iff
+  // value <= threshold (the codebook holds the original split doubles),
+  // categorical go left iff the level's mask bit is set (levels >= 64 go
+  // right).
+  const RankNode* nodes = nodes_.data() + tree_offsets_[t];
+  std::uint32_t i = 0;
+  for (;;) {
+    const RankNode node = nodes[i];
+    if (node.is_leaf()) {
+      return leaf_values_[static_cast<std::size_t>(node.left)];
+    }
+    const double v = row[node.feature & RankNode::kFeatureMask];
+    bool left;
+    if ((node.feature & RankNode::kCategorical) != 0) {
+      const auto level = static_cast<std::uint64_t>(std::llround(v));
+      left = level < 64 && ((cat_masks_[node.code] >> level) & 1ULL);
+    } else {
+      left = v <= thresholds_[node.code];
+    }
+    i = static_cast<std::uint32_t>(node.left) + (left ? 0u : 1u);
   }
-  double sum = 0.0;
-  for (std::size_t t = 0; t < num; ++t) {
-    sum += traverse(nodes_.data() + tree_offsets_[t], row.data());
-  }
-  return sum / static_cast<double>(num);
-}
-
-PredictionStats FlatForest::predict_stats_one(
-    std::span<const double> row) const {
-  const std::size_t num = num_trees();
-  if (num == 0) {
-    throw std::logic_error("FlatForest::predict_stats_one: empty forest");
-  }
-  thread_local std::vector<double> per_tree;
-  per_tree.resize(num);
-  predict_per_tree(row, per_tree);
-  // Two passes (deviation form) to match the reference exactly and avoid
-  // sum-of-squares cancellation when trees agree to many digits.
-  double sum = 0.0;
-  for (double p : per_tree) sum += p;
-  const auto b = static_cast<double>(num);
-  PredictionStats stats;
-  stats.mean = sum / b;
-  double sq_dev = 0.0;
-  for (double p : per_tree) {
-    const double d = p - stats.mean;
-    sq_dev += d * d;
-  }
-  stats.variance = sq_dev / b;
-  stats.stddev = std::sqrt(stats.variance);
-  return stats;
 }
 
 void FlatForest::predict_per_tree(std::span<const double> row,
                                   std::span<double> out) const {
   const std::size_t num = num_trees();
+  if (num == 0) {
+    throw std::logic_error("FlatForest::predict_per_tree: empty forest");
+  }
   if (out.size() != num) {
     throw std::invalid_argument("FlatForest::predict_per_tree: size mismatch");
   }
-  for (std::size_t t = 0; t < num; ++t) {
-    out[t] = traverse(nodes_.data() + tree_offsets_[t], row.data());
+  for (std::size_t t = 0; t < num; ++t) out[t] = walk(t, row.data());
+}
+
+void FlatForest::compute_ranks(const double* rows, std::size_t stride,
+                               std::size_t n,
+                               std::vector<std::int32_t>& ranks) const {
+  const std::size_t nf = feature_base_.size() - 1;
+  ranks.resize(n * nf);
+  const double* tab = thresholds_.data();
+  // Feature-major so each codebook stays cache-hot across the whole block.
+  // The branchless search has a fixed trip count per feature, which lets
+  // four rows' searches run interleaved — four independent load chains
+  // instead of one serial one. The result is the first codebook entry >= v:
+  // every smaller code fails `v <= threshold`, every code from the result
+  // on passes — the exact ordered-compare semantics. NaN compares false
+  // against everything, so the search leaves it at 0; pick the past-the-end
+  // rank explicitly so NaN always routes right.
+  for (std::size_t f = 0; f < nf; ++f) {
+    const double* cb = tab + feature_base_[f];
+    const std::uint32_t size = feature_base_[f + 1] - feature_base_[f];
+    const auto fb = static_cast<std::int32_t>(feature_base_[f]);
+    std::int32_t* dst = ranks.data() + f;
+    const auto emit = [&](std::size_t r, double v, std::uint32_t cur) {
+      dst[r * nf] = std::isnan(v) ? fb + static_cast<std::int32_t>(size)
+                                  : fb + static_cast<std::int32_t>(cur);
+    };
+    std::size_t r = 0;
+    for (; r + 4 <= n; r += 4) {
+      double v[4];
+      std::uint32_t cur[4] = {0, 0, 0, 0};
+      for (std::size_t j = 0; j < 4; ++j) v[j] = rows[(r + j) * stride + f];
+      for (std::uint32_t step = size == 0 ? 0 : std::bit_floor(size);
+           step != 0; step >>= 1) {
+        for (std::size_t j = 0; j < 4; ++j) {
+          cur[j] = search_step(cb, size, cur[j], step, v[j]);
+        }
+      }
+      for (std::size_t j = 0; j < 4; ++j) emit(r + j, v[j], cur[j]);
+    }
+    for (; r < n; ++r) {
+      const double v = rows[r * stride + f];
+      emit(r, v, count_below(cb, size, v));
+    }
   }
 }
 
-void FlatForest::predict_per_tree_block(const double* const* rows,
-                                        std::size_t n,
-                                        std::span<double> out) const {
+void FlatForest::predict_block(const double* rows, std::size_t stride,
+                               std::size_t n, std::span<double> out) const {
   const std::size_t num = num_trees();
+  if (num == 0) {
+    throw std::logic_error("FlatForest::predict_block: empty forest");
+  }
   if (out.size() != num * n) {
-    throw std::invalid_argument(
-        "FlatForest::predict_per_tree_block: size mismatch");
+    throw std::invalid_argument("FlatForest::predict_block: size mismatch");
   }
+  const std::size_t nf = feature_base_.size() - 1;
+  PWU_REQUIRE(n <= kRowBlock && nf <= stride,
+              "FlatForest::predict_block: " << n << " rows of stride "
+                                            << stride << " for " << nf
+                                            << " codebook features");
+  // One rank precompute per block, amortized across every numerical tree:
+  // O(rows x features x log codebook) searches buy O(trees x depth)
+  // integer-only walk steps.
+  thread_local std::vector<std::int32_t> ranks;
+  if (any_numerical_tree_ && nf > 0) compute_ranks(rows, stride, n, ranks);
+  const simd::TreeKernel kernel = simd::tree_kernel(simd::active_level());
   for (std::size_t t = 0; t < num; ++t) {
-    const FlatNode* tree = nodes_.data() + tree_offsets_[t];
     double* dst = out.data() + t * n;
-    for (std::size_t r = 0; r < n; r += kGroup) {
-      const std::size_t g = std::min(kGroup, n - r);
-      traverse_group(tree, rows + r, g, dst + r);
-    }
-  }
-}
-
-void FlatForest::stats_block(const FeatureMatrix& rows, std::size_t begin,
-                             std::size_t end, std::span<PredictionStats> out,
-                             std::vector<double>& scratch) const {
-  const std::size_t nb = end - begin;
-  const std::size_t num = num_trees();
-  PWU_REQUIRE(begin < end && end <= rows.num_rows() && nb <= kRowBlock,
-              "FlatForest::stats_block: [" << begin << ", " << end
-                                           << ") of " << rows.num_rows());
-  scratch.resize(num * nb);
-  const double* base = rows.row(begin).data();
-  const std::size_t stride = rows.num_cols();
-  const simd::FlatTreeKernel kernel = simd::flat_tree_kernel(simd::active_level());
-  const double* row_ptrs[kGroup];
-  // Tree-major fill: one tree's nodes stay hot while the whole row block
-  // passes through it. Numerical-only trees take the dispatched SIMD kernel
-  // (bit-exact with traverse_group by construction); trees with categorical
-  // splits keep the scalar set-membership walk.
-  for (std::size_t t = 0; t < num; ++t) {
-    const FlatNode* tree = nodes_.data() + tree_offsets_[t];
-    double* dst = scratch.data() + t * nb;
     if (tree_categorical_[t] != 0) {
-      for (std::size_t r = 0; r < nb; r += kGroup) {
-        const std::size_t g = std::min(kGroup, nb - r);
-        for (std::size_t j = 0; j < g; ++j) {
-          row_ptrs[j] = rows.row(begin + r + j).data();
-        }
-        traverse_group(tree, row_ptrs, g, dst + r);
-      }
+      for (std::size_t r = 0; r < n; ++r) dst[r] = walk(t, rows + r * stride);
     } else {
-      kernel(tree, base, stride, nb, dst);
-    }
-  }
-  const auto b = static_cast<double>(num);
-  for (std::size_t r = 0; r < nb; ++r) {
-    double sum = 0.0;
-    for (std::size_t t = 0; t < num; ++t) sum += scratch[t * nb + r];
-    PredictionStats stats;
-    stats.mean = sum / b;
-    double sq_dev = 0.0;
-    for (std::size_t t = 0; t < num; ++t) {
-      const double d = scratch[t * nb + r] - stats.mean;
-      sq_dev += d * d;
-    }
-    stats.variance = sq_dev / b;
-    stats.stddev = std::sqrt(stats.variance);
-    out[begin + r] = stats;
-  }
-}
-
-void FlatForest::mean_block(const FeatureMatrix& rows, std::size_t begin,
-                            std::size_t end, std::span<double> out,
-                            std::vector<double>& scratch) const {
-  const std::size_t nb = end - begin;
-  const std::size_t num = num_trees();
-  PWU_REQUIRE(begin < end && end <= rows.num_rows() && nb <= kRowBlock,
-              "FlatForest::mean_block: [" << begin << ", " << end << ") of "
-                                          << rows.num_rows());
-  scratch.assign(nb, 0.0);
-  const double* base = rows.row(begin).data();
-  const std::size_t stride = rows.num_cols();
-  const simd::FlatTreeKernel kernel = simd::flat_tree_kernel(simd::active_level());
-  const double* row_ptrs[kGroup];
-  double leaf[kRowBlock];
-  for (std::size_t t = 0; t < num; ++t) {
-    const FlatNode* tree = nodes_.data() + tree_offsets_[t];
-    if (tree_categorical_[t] != 0) {
-      for (std::size_t r = 0; r < nb; r += kGroup) {
-        const std::size_t g = std::min(kGroup, nb - r);
-        for (std::size_t j = 0; j < g; ++j) {
-          row_ptrs[j] = rows.row(begin + r + j).data();
-        }
-        traverse_group(tree, row_ptrs, g, leaf + r);
-      }
-    } else {
-      kernel(tree, base, stride, nb, leaf);
-    }
-    for (std::size_t r = 0; r < nb; ++r) scratch[r] += leaf[r];
-  }
-  const auto b = static_cast<double>(num);
-  for (std::size_t r = 0; r < nb; ++r) out[begin + r] = scratch[r] / b;
-}
-
-void FlatForest::predict_stats(const FeatureMatrix& rows,
-                               std::span<PredictionStats> out,
-                               util::ThreadPool* pool) const {
-  const std::size_t n = rows.num_rows();
-  if (out.size() != n) {
-    throw std::invalid_argument("FlatForest::predict_stats: size mismatch");
-  }
-  if (empty()) {
-    throw std::logic_error("FlatForest::predict_stats: empty forest");
-  }
-  if (n == 0) return;
-  const std::size_t blocks = (n + kRowBlock - 1) / kRowBlock;
-  auto run_block = [&](std::size_t block, std::vector<double>& scratch) {
-    const std::size_t begin = block * kRowBlock;
-    const std::size_t end = std::min(begin + kRowBlock, n);
-    stats_block(rows, begin, end, out, scratch);
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && n > 256) {
-    pool->parallel_for(0, blocks, [&](std::size_t block) {
-      thread_local std::vector<double> scratch;
-      run_block(block, scratch);
-    });
-  } else {
-    std::vector<double> scratch;
-    for (std::size_t block = 0; block < blocks; ++block) {
-      run_block(block, scratch);
-    }
-  }
-}
-
-void FlatForest::predict_mean(const FeatureMatrix& rows, std::span<double> out,
-                              util::ThreadPool* pool) const {
-  const std::size_t n = rows.num_rows();
-  if (out.size() != n) {
-    throw std::invalid_argument("FlatForest::predict_mean: size mismatch");
-  }
-  if (empty()) {
-    throw std::logic_error("FlatForest::predict_mean: empty forest");
-  }
-  if (n == 0) return;
-  const std::size_t blocks = (n + kRowBlock - 1) / kRowBlock;
-  auto run_block = [&](std::size_t block, std::vector<double>& scratch) {
-    const std::size_t begin = block * kRowBlock;
-    const std::size_t end = std::min(begin + kRowBlock, n);
-    mean_block(rows, begin, end, out, scratch);
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && n > 256) {
-    pool->parallel_for(0, blocks, [&](std::size_t block) {
-      thread_local std::vector<double> scratch;
-      run_block(block, scratch);
-    });
-  } else {
-    std::vector<double> scratch;
-    for (std::size_t block = 0; block < blocks; ++block) {
-      run_block(block, scratch);
+      kernel(nodes_.data() + tree_offsets_[t], ranks.data(), nf,
+             leaf_values_.data(), n, dst);
     }
   }
 }

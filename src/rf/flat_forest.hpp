@@ -1,12 +1,33 @@
-// Flat batched inference engine for fitted tree ensembles.
+// Compiled evaluation layout for fitted tree ensembles.
 //
-// After fit/load, every tree's node table is compiled into one contiguous
-// array of 16-byte nodes in breadth-first order. Batched prediction then
-// runs in cache-blocked (row-block x tree) order: a tree's nodes stay
-// resident in L1/L2 while a block of rows traverses it, instead of every
-// row re-faulting every tree's 48-byte pointer-chased nodes. Evaluation is
-// bit-exact with the tree-walk reference: the same routing decisions, the
-// same leaf doubles, and per-row accumulation in the same tree order.
+// build() compiles every tree's node table into one contiguous array of
+// 8-byte RankNodes in breadth-first order (siblings are adjacent, so
+// right = left + 1). Nodes hold no doubles:
+//
+//   - split thresholds are deduplicated into sorted per-feature codebooks
+//     (laid out back-to-back in one table) and a numerical split stores a
+//     16-bit code into them;
+//   - categorical left-level masks live in a side table, referenced by the
+//     same 16-bit code field;
+//   - a leaf stores an index into the leaf-value table.
+//
+// Because each codebook is sorted, `value <= thresholds[code]` is exactly
+// `code >= rank`, where rank is the code of the first codebook entry >=
+// value (one past the feature's codebook for NaN, which must route right,
+// as Split::goes_left does). predict_block() computes that rank once per
+// (row, feature) for a block of rows, and every numerical-only tree then
+// walks the block on 32-bit integer compares through the dispatched kernel
+// (rf/simd_eval.hpp). Trees with a categorical split take the scalar walk,
+// which compares the row's doubles against the codebook entries.
+//
+// Exactness: codes index the original split doubles (a rank coding, not a
+// snapping), and leaves index the original leaf doubles, so every row
+// reaches the same leaf as DecisionTree::predict and reads the same value.
+//
+// Capacity: feature indices and codes are 16-bit. build() returns false,
+// leaving the forest empty, when the trees hold more than 65536 distinct
+// thresholds or masks, a feature index >= 0x7FFF, or a NaN threshold.
+// RandomForest then predicts through the trees' own walk.
 
 #pragma once
 
@@ -15,41 +36,36 @@
 #include <vector>
 
 #include "rf/decision_tree.hpp"
-#include "rf/feature_matrix.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pwu::rf {
 
-struct PredictionStats {
-  double mean = 0.0;
-  double variance = 0.0;  // across trees (population variance)
-  double stddev = 0.0;
-};
-
-/// One node of the flat evaluation layout. 16 bytes: the per-node split
-/// gain and the separate right-child index of the build-time
-/// DecisionTree::Node are dropped from the hot struct — breadth-first
-/// layout places siblings adjacently, so right = left + 1.
-struct FlatNode {
-  /// Leaf: prediction. Numerical split: threshold. Categorical split: the
-  /// 64-bit left-level mask, bit-cast (never interpreted as a double).
-  double payload = 0.0;
-  /// -1 for a leaf; otherwise the feature index, with kCategoricalFlag set
+/// One node of the compiled layout. 8 bytes.
+struct RankNode {
+  /// kLeaf for a leaf; otherwise the feature index, with kCategorical set
   /// for set-membership splits.
-  std::int32_t feature = -1;
-  /// Tree-local flat index of the left child (right child = left + 1).
+  std::uint16_t feature = kLeaf;
+  /// Numerical split: index into the concatenated threshold codebooks (it
+  /// already carries the feature's base offset). Categorical split: index
+  /// into the mask table. Leaf: 0.
+  std::uint16_t code = 0;
+  /// Split: tree-local index of the left child (right = left + 1).
+  /// Leaf: index into the leaf-value table.
   std::int32_t left = -1;
 
-  static constexpr std::int32_t kCategoricalFlag = 1 << 30;
-  static constexpr std::int32_t kFeatureMask = kCategoricalFlag - 1;
+  static constexpr std::uint16_t kLeaf = 0xFFFF;
+  static constexpr std::uint16_t kCategorical = 0x8000;
+  static constexpr std::uint16_t kFeatureMask = 0x7FFF;
+
+  bool is_leaf() const { return feature == kLeaf; }
 };
-static_assert(sizeof(FlatNode) == 16, "FlatNode must stay 16 bytes");
+static_assert(sizeof(RankNode) == 8, "RankNode must stay 8 bytes");
 
 class FlatForest {
  public:
-  /// Compiles the fitted trees into the flat layout (replacing any previous
-  /// contents).
-  void build(std::span<const DecisionTree> trees);
+  /// Compiles the fitted trees (replacing any previous contents). Returns
+  /// false, leaving the forest empty, when they exceed the 16-bit capacity.
+  bool build(std::span<const DecisionTree> trees);
+  /// Empties the forest and releases its memory.
   void clear();
 
   bool empty() const { return tree_offsets_.size() < 2; }
@@ -58,63 +74,60 @@ class FlatForest {
   }
   std::size_t num_nodes() const { return nodes_.size(); }
 
-  /// Ensemble mean for one row.
-  double predict_one(std::span<const double> row) const;
-
-  /// Mean and across-tree spread for one row.
-  PredictionStats predict_stats_one(std::span<const double> row) const;
-
-  /// Per-tree predictions for one row (out.size() == num_trees()) — the
-  /// building block for OOB-style masked aggregation.
+  /// Per-tree leaf values for one row (out.size() == num_trees()).
   void predict_per_tree(std::span<const double> row,
                         std::span<double> out) const;
 
-  /// Per-tree predictions for a block of rows, tree-major:
-  /// out[t * n + r] is tree t's leaf value for rows[r]. Runs the same
-  /// interleaved blocked order as the batch evaluators (out.size() must be
-  /// num_trees() * n).
-  void predict_per_tree_block(const double* const* rows, std::size_t n,
-                              std::span<double> out) const;
+  /// Per-tree leaf values for `n` <= kRowBlock consecutive rows (row r
+  /// starts at rows + r * stride), tree-major: out[t * n + r] is tree t's
+  /// leaf value for row r (out.size() == num_trees() * n). One tree's
+  /// nodes stay hot while the whole block passes through it.
+  void predict_block(const double* rows, std::size_t stride, std::size_t n,
+                     std::span<double> out) const;
 
-  /// Resident heap footprint of the compiled layout.
+  /// Resident heap footprint of the nodes and side tables.
   std::size_t memory_bytes() const {
-    return nodes_.capacity() * sizeof(FlatNode) +
+    return nodes_.capacity() * sizeof(RankNode) +
            tree_offsets_.capacity() * sizeof(std::uint32_t) +
+           thresholds_.capacity() * sizeof(double) +
+           feature_base_.capacity() * sizeof(std::uint32_t) +
+           cat_masks_.capacity() * sizeof(std::uint64_t) +
+           leaf_values_.capacity() * sizeof(double) +
            tree_categorical_.capacity() * sizeof(std::uint8_t);
   }
 
-  /// Blocked batch evaluation; row blocks run on `pool` when provided.
-  void predict_stats(const FeatureMatrix& rows, std::span<PredictionStats> out,
-                     util::ThreadPool* pool = nullptr) const;
-  void predict_mean(const FeatureMatrix& rows, std::span<double> out,
-                    util::ThreadPool* pool = nullptr) const;
-
-  /// Rows per cache block: 256 rows x 200 trees of scratch is 400 KB,
-  /// inside L2, while one tree's nodes stream through L1; the wide block
-  /// amortizes each tree's node-table sweep over enough rows to keep the
-  /// SIMD kernels' gather chains fed (64 left them latency-bound on node
-  /// refetches). Public so QuantizedForest blocks its rows the same way.
+  /// Rows per cache block: 256 rows x 200 trees of per-tree scratch is
+  /// 400 KB, inside L2, and the block's rank matrix (rows x features x 4
+  /// bytes) stays in L1 while one tree's nodes stream through; the wide
+  /// block amortizes each tree's node-table sweep over enough rows to keep
+  /// the SIMD kernel's gather chains fed.
   static constexpr std::size_t kRowBlock = 256;
 
-  /// Raw compiled layout (the QuantizedForest compaction pass reads it).
-  std::span<const FlatNode> nodes() const { return nodes_; }
-  std::span<const std::uint32_t> tree_offsets() const { return tree_offsets_; }
-
  private:
-  void stats_block(const FeatureMatrix& rows, std::size_t begin,
-                   std::size_t end, std::span<PredictionStats> out,
-                   std::vector<double>& scratch) const;
-  void mean_block(const FeatureMatrix& rows, std::size_t begin,
-                  std::size_t end, std::span<double> out,
-                  std::vector<double>& scratch) const;
+  /// Leaf value of tree t for one row, over the row's doubles — the walk
+  /// for single rows and for trees with categorical splits.
+  double walk(std::size_t t, const double* row) const;
 
-  std::vector<FlatNode> nodes_;
+  /// Fills `ranks` (row-major, one int per codebook feature) with the code
+  /// of the first threshold >= the row's value per (row, feature) — the
+  /// feature's past-the-end code for NaN.
+  void compute_ranks(const double* rows, std::size_t stride, std::size_t n,
+                     std::vector<std::int32_t>& ranks) const;
+
+  std::vector<RankNode> nodes_;
   /// Tree t owns nodes_[tree_offsets_[t], tree_offsets_[t + 1]).
   std::vector<std::uint32_t> tree_offsets_;
-  /// Trees containing categorical splits take the scalar set-membership
-  /// walk in the batch evaluators; SIMD kernels only see numerical-only
-  /// trees (rf/simd_eval.hpp).
+  /// Per-feature sorted threshold codebooks, concatenated.
+  std::vector<double> thresholds_;
+  /// Feature f's codebook is thresholds_[feature_base_[f],
+  /// feature_base_[f + 1]) (size: codebook features + 1).
+  std::vector<std::uint32_t> feature_base_;
+  std::vector<std::uint64_t> cat_masks_;
+  std::vector<double> leaf_values_;
+  /// Trees containing categorical splits take the scalar walk in
+  /// predict_block; the SIMD kernels only see numerical-only trees.
   std::vector<std::uint8_t> tree_categorical_;
+  bool any_numerical_tree_ = false;
 };
 
 }  // namespace pwu::rf

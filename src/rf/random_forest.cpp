@@ -14,6 +14,63 @@
 
 namespace pwu::rf {
 
+namespace {
+
+/// Mean and across-tree spread of `num` per-tree values spaced `stride`
+/// apart, in the reference's arithmetic: trees summed in ascending order,
+/// then the two-pass deviation form, which avoids sum-of-squares
+/// cancellation when trees agree to many digits.
+PredictionStats stats_over_trees(const double* leaves, std::size_t num,
+                                 std::size_t stride) {
+  double sum = 0.0;
+  for (std::size_t t = 0; t < num; ++t) sum += leaves[t * stride];
+  const auto b = static_cast<double>(num);
+  PredictionStats stats;
+  stats.mean = sum / b;
+  double sq_dev = 0.0;
+  for (std::size_t t = 0; t < num; ++t) {
+    const double d = leaves[t * stride] - stats.mean;
+    sq_dev += d * d;
+  }
+  stats.variance = sq_dev / b;
+  stats.stddev = std::sqrt(stats.variance);
+  return stats;
+}
+
+}  // namespace
+
+template <typename Visit>
+void RandomForest::for_each_block(const double* rows, std::size_t stride,
+                                  std::size_t n, util::ThreadPool* pool,
+                                  Visit&& visit) const {
+  constexpr std::size_t kBlock = FlatForest::kRowBlock;
+  const std::size_t num = trees_.size();
+  const auto run_block = [&](std::size_t block) {
+    thread_local std::vector<double> leaves;
+    const std::size_t begin = block * kBlock;
+    const std::size_t nb = std::min(kBlock, n - begin);
+    const double* base = rows + begin * stride;
+    leaves.resize(num * nb);
+    if (!flat_.empty()) {
+      flat_.predict_block(base, stride, nb, leaves);
+    } else {
+      // Past the compiled layout's capacity: the reference per-tree walk.
+      for (std::size_t t = 0; t < num; ++t) {
+        for (std::size_t r = 0; r < nb; ++r) {
+          leaves[t * nb + r] = trees_[t].predict({base + r * stride, stride});
+        }
+      }
+    }
+    visit(begin, begin + nb, std::span<const double>(leaves));
+  };
+  const std::size_t blocks = (n + kBlock - 1) / kBlock;
+  if (pool != nullptr && pool->num_threads() > 1 && blocks > 1) {
+    pool->parallel_for(0, blocks, run_block);
+  } else {
+    for (std::size_t block = 0; block < blocks; ++block) run_block(block);
+  }
+}
+
 void RandomForest::fit(const Dataset& data, const ForestConfig& config,
                        util::Rng& rng PWU_RNG_STREAM(forest_fit),
                        util::ThreadPool* pool,
@@ -83,57 +140,39 @@ void RandomForest::fit(const Dataset& data, const ForestConfig& config,
     throw;
   }
 
+  // False past the compiled layout's capacity; prediction then walks the
+  // trees.
   flat_.build(trees_);
 
   has_oob_ = false;
   if (config.compute_oob) {
-    // Per-sample OOB errors computed block-wise through the flat per-tree
-    // evaluator (parallel over blocks when a pool is given), then reduced in
-    // ascending sample order so the result matches the serial pass
-    // bit-for-bit: each sample's vote sum runs over trees ascending either
-    // way.
-    constexpr std::size_t kOobBlock = 64;
+    // Per-sample OOB errors from the block evaluator (parallel over blocks
+    // when a pool is given), then reduced in ascending sample order so the
+    // result matches the serial pass bit-for-bit: each sample's vote sum
+    // runs over trees ascending either way.
     std::vector<double> sq_err(n);
     std::vector<char> has_vote(n, 0);
-    const std::size_t blocks = (n + kOobBlock - 1) / kOobBlock;
-    auto oob_block = [&](std::size_t block, std::vector<double>& scratch) {
-      const std::size_t begin = block * kOobBlock;
-      const std::size_t end = std::min(begin + kOobBlock, n);
-      const std::size_t nb = end - begin;
-      const double* row_ptrs[kOobBlock];
-      for (std::size_t r = 0; r < nb; ++r) {
-        row_ptrs[r] = data.row(begin + r).data();
-      }
-      scratch.resize(config_.num_trees * nb);
-      flat_.predict_per_tree_block(row_ptrs, nb, scratch);
-      for (std::size_t r = 0; r < nb; ++r) {
-        const std::size_t i = begin + r;
-        double sum = 0.0;
-        std::size_t votes = 0;
-        for (std::size_t t = 0; t < config_.num_trees; ++t) {
-          if (!in_bag[t][i]) {
-            sum += scratch[t * nb + r];
-            ++votes;
+    for_each_block(
+        data.row(0).data(), data.num_features(), n, pool,
+        [&](std::size_t begin, std::size_t end,
+            std::span<const double> leaves) {
+          const std::size_t nb = end - begin;
+          for (std::size_t i = begin; i < end; ++i) {
+            double sum = 0.0;
+            std::size_t votes = 0;
+            for (std::size_t t = 0; t < config_.num_trees; ++t) {
+              if (!in_bag[t][i]) {
+                sum += leaves[t * nb + (i - begin)];
+                ++votes;
+              }
+            }
+            if (votes > 0) {
+              const double err = sum / static_cast<double>(votes) - data.y(i);
+              sq_err[i] = err * err;
+              has_vote[i] = 1;
+            }
           }
-        }
-        if (votes > 0) {
-          const double err = sum / static_cast<double>(votes) - data.y(i);
-          sq_err[i] = err * err;
-          has_vote[i] = 1;
-        }
-      }
-    };
-    if (pool != nullptr && pool->num_threads() > 1 && n > 64) {
-      pool->parallel_for(0, blocks, [&](std::size_t block) {
-        thread_local std::vector<double> scratch;
-        oob_block(block, scratch);
-      });
-    } else {
-      std::vector<double> scratch;
-      for (std::size_t block = 0; block < blocks; ++block) {
-        oob_block(block, scratch);
-      }
-    }
+        });
     double sq_sum = 0.0;
     std::size_t counted = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -153,14 +192,19 @@ double RandomForest::predict(std::span<const double> row) const {
   if (trees_.empty()) {
     throw std::logic_error("RandomForest::predict before fit");
   }
-  return flat_.predict_one(row);
+  return predict_stats(row).mean;
 }
 
 PredictionStats RandomForest::predict_stats(std::span<const double> row) const {
   if (trees_.empty()) {
     throw std::logic_error("RandomForest::predict_stats before fit");
   }
-  return flat_.predict_stats_one(row);
+  // Past the compiled layout's capacity the reference walk is the engine.
+  if (flat_.empty()) return predict_stats_reference(row);
+  thread_local std::vector<double> per_tree;
+  per_tree.resize(trees_.size());
+  flat_.predict_per_tree(row, per_tree);
+  return stats_over_trees(per_tree.data(), per_tree.size(), 1);
 }
 
 PredictionStats RandomForest::predict_stats_reference(
@@ -198,7 +242,16 @@ std::vector<PredictionStats> RandomForest::predict_stats_batch(
     throw std::logic_error("RandomForest::predict_stats_batch before fit");
   }
   std::vector<PredictionStats> out(rows.num_rows());
-  flat_.predict_stats(rows, out, pool);
+  if (out.empty()) return out;
+  for_each_block(rows.row(0).data(), rows.num_cols(), rows.num_rows(), pool,
+                 [&](std::size_t begin, std::size_t end,
+                     std::span<const double> leaves) {
+                   const std::size_t nb = end - begin;
+                   for (std::size_t r = 0; r < nb; ++r) {
+                     out[begin + r] = stats_over_trees(
+                         leaves.data() + r, trees_.size(), nb);
+                   }
+                 });
   return out;
 }
 
@@ -227,7 +280,19 @@ std::vector<double> RandomForest::permutation_importance(
   std::vector<double> predictions(n);
 
   auto mse = [&]() {
-    flat_.predict_mean(scratch, predictions, pool);
+    for_each_block(scratch.row(0).data(), d, n, pool,
+                   [&](std::size_t begin, std::size_t end,
+                       std::span<const double> leaves) {
+                     const std::size_t nb = end - begin;
+                     for (std::size_t r = 0; r < nb; ++r) {
+                       double sum = 0.0;
+                       for (std::size_t t = 0; t < trees_.size(); ++t) {
+                         sum += leaves[t * nb + r];
+                       }
+                       predictions[begin + r] =
+                           sum / static_cast<double>(trees_.size());
+                     }
+                   });
     double acc = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double err = predictions[i] - reference.y(i);

@@ -6,11 +6,15 @@
 // spread (variance) of the per-tree predictions. That uncertainty drives
 // every sampling strategy in core/.
 //
-// After fit/load the ensemble is compiled into a FlatForest — a contiguous
-// breadth-first node array — and all prediction entry points route through
-// it. The original node tables are kept for serialization and structural
-// queries; predict_stats_reference() walks them directly and exists to pin
-// the flat engine's bit-exactness in tests.
+// After fit/load the ensemble is compiled into a FlatForest — 8-byte
+// rank-coded nodes in one breadth-first array — and every prediction entry
+// point walks it: single rows through its scalar walk, row blocks (pool
+// scoring, permutation importance, the OOB pass) through its block
+// evaluator. A forest past the compiled layout's 16-bit capacity keeps
+// predicting, bit-identically, through the trees' own walk. The original
+// node tables are kept for serialization and structural queries;
+// predict_stats_reference() walks them directly and exists to pin the
+// compiled engine's bit-exactness in tests.
 
 #pragma once
 
@@ -28,6 +32,12 @@
 #include "util/watchdog.hpp"
 
 namespace pwu::rf {
+
+struct PredictionStats {
+  double mean = 0.0;
+  double variance = 0.0;  // across trees (population variance)
+  double stddev = 0.0;
+};
 
 struct ForestConfig {
   std::size_t num_trees = 50;
@@ -62,7 +72,8 @@ class RandomForest {
   PredictionStats predict_stats(std::span<const double> row) const;
 
   /// predict_stats computed by walking the original tree node tables — the
-  /// slow reference implementation the flat engine must match bit-for-bit.
+  /// slow reference implementation the compiled engine must match
+  /// bit-for-bit.
   PredictionStats predict_stats_reference(std::span<const double> row) const;
 
   /// Batched predict_stats over a contiguous row matrix, optionally
@@ -70,7 +81,8 @@ class RandomForest {
   std::vector<PredictionStats> predict_stats_batch(
       const FeatureMatrix& rows, util::ThreadPool* pool = nullptr) const;
 
-  /// The compiled evaluation layout (valid whenever fitted()).
+  /// The compiled evaluation layout. Empty when the forest exceeds its
+  /// capacity; prediction then walks the trees.
   const FlatForest& flat() const { return flat_; }
 
   /// Out-of-bag RMSE (requires compute_oob at fit time; NaN when no sample
@@ -87,7 +99,7 @@ class RandomForest {
   std::size_t total_nodes() const;
   std::size_t max_depth() const;
 
-  /// Resident heap footprint: original node tables plus the flat layout.
+  /// Resident heap footprint: original node tables plus the compiled layout.
   std::size_t memory_bytes() const;
 
   /// Serializes the fitted ensemble as text (trees + the structural bits of
@@ -100,6 +112,16 @@ class RandomForest {
   static RandomForest load_file(const std::string& path);
 
  private:
+  /// Calls visit(begin, end, leaves) for every block of at most
+  /// FlatForest::kRowBlock rows of a row-major matrix (row r starts at
+  /// rows + r * stride), where leaves[t * (end - begin) + (r - begin)] is
+  /// tree t's leaf value for row r. Blocks run on `pool` when it has more
+  /// than one thread and there is more than one block; visit then runs
+  /// concurrently on disjoint blocks.
+  template <typename Visit>
+  void for_each_block(const double* rows, std::size_t stride, std::size_t n,
+                      util::ThreadPool* pool, Visit&& visit) const;
+
   std::vector<DecisionTree> trees_;
   FlatForest flat_;
   ForestConfig config_;

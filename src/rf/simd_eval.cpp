@@ -11,45 +11,22 @@
 #include <string>
 
 #include "rf/flat_forest.hpp"
-#include "rf/quantized_layout.hpp"
 #include "util/logging.hpp"
 
 namespace pwu::rf::simd {
 
 namespace {
 
-/// Rows walked in lockstep by the scalar tier — the same memory-level
-/// parallelism the pre-SIMD traverse_group used.
+/// Rows walked in lockstep by the scalar tier: a single row's walk is a
+/// chain of dependent loads, so stepping a group of rows through the same
+/// tree keeps that many independent chains in flight.
 constexpr std::size_t kScalarGroup = 8;
 
 // ---- scalar tier -----------------------------------------------------------
 
-void flat_tree_scalar(const FlatNode* nodes, const double* rows,
-                      std::size_t stride, std::size_t n, double* out) {
-  for (std::size_t r = 0; r < n; r += kScalarGroup) {
-    const std::size_t g = std::min(kScalarGroup, n - r);
-    const double* base = rows + r * stride;
-    std::uint32_t cur[kScalarGroup] = {};
-    for (;;) {
-      bool active = false;
-      for (std::size_t j = 0; j < g; ++j) {
-        const FlatNode node = nodes[cur[j]];
-        if (node.feature < 0) continue;
-        active = true;
-        const double v = base[j * stride + static_cast<std::size_t>(
-                                               node.feature)];
-        cur[j] =
-            static_cast<std::uint32_t>(node.left) + (v <= node.payload ? 0u : 1u);
-      }
-      if (!active) break;
-    }
-    for (std::size_t j = 0; j < g; ++j) out[r + j] = nodes[cur[j]].payload;
-  }
-}
-
-void quant_tree_scalar(const QuantNode* nodes, const std::int32_t* ranks,
-                       std::size_t rank_stride, const double* leaf_values,
-                       std::size_t n, double* out) {
+void tree_scalar(const RankNode* nodes, const std::int32_t* ranks,
+                 std::size_t rank_stride, const double* leaf_values,
+                 std::size_t n, double* out) {
   for (std::size_t r = 0; r < n; r += kScalarGroup) {
     const std::size_t g = std::min(kScalarGroup, n - r);
     const std::int32_t* rbase = ranks + r * rank_stride;
@@ -57,7 +34,7 @@ void quant_tree_scalar(const QuantNode* nodes, const std::int32_t* ranks,
     for (;;) {
       bool active = false;
       for (std::size_t j = 0; j < g; ++j) {
-        const QuantNode node = nodes[cur[j]];
+        const RankNode node = nodes[cur[j]];
         if (node.is_leaf()) continue;
         active = true;
         const std::int32_t rank = rbase[j * rank_stride + node.feature];
@@ -144,23 +121,13 @@ void clear_level_override() {
   g_override.store(-1, std::memory_order_relaxed);
 }
 
-FlatTreeKernel flat_tree_kernel(Level level) {
+TreeKernel tree_kernel(Level level) {
   level = min_level(level, detected_level());
   switch (level) {
 #ifdef PWU_SIMD_HAS_AVX2
-    case Level::Avx2: return detail::flat_tree_avx2;
+    case Level::Avx2: return detail::tree_avx2;
 #endif
-    default: return flat_tree_scalar;
-  }
-}
-
-QuantTreeKernel quant_tree_kernel(Level level) {
-  level = min_level(level, detected_level());
-  switch (level) {
-#ifdef PWU_SIMD_HAS_AVX2
-    case Level::Avx2: return detail::quant_tree_avx2;
-#endif
-    default: return quant_tree_scalar;
+    default: return tree_scalar;
   }
 }
 

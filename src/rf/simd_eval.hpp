@@ -1,28 +1,26 @@
-// Runtime-dispatched SIMD kernels for the flat tree-evaluation hot path.
+// Runtime-dispatched SIMD kernels for the tree-evaluation hot path.
 //
 // This is the only sanctioned doorway to vector intrinsics in the tree
 // engine (enforced by the pwu_lint rule `no-unchecked-simd`): callers pick
-// a kernel through flat_tree_kernel()/quant_tree_kernel() and never touch
-// <immintrin.h> themselves. Two tiers exist per node layout:
+// a kernel through tree_kernel() and never touch <immintrin.h> themselves.
+// The kernels walk FlatForest's 8-byte rank-coded nodes (rf/flat_forest.hpp)
+// on a block's precomputed threshold ranks. Two tiers exist:
 //
-//   Scalar  portable reference — the 8-row interleaved lockstep walk the
-//           pre-SIMD engine ran, restated over a contiguous row block;
-//   AVX2    flat16: 32 rows per tree level as eight 4-lane gather groups;
-//           quant8: 32 rows as four 8-lane epi32 groups walking on
-//           precomputed threshold ranks (see QuantTreeKernel).
+//   Scalar  portable reference — an 8-row interleaved lockstep walk over a
+//           contiguous row block;
+//   AVX2    64 rows per tree level as eight 8-lane epi32 groups.
 //
-// Every tier routes rows identically (the same `value <= threshold`
-// ordered-compare semantics, NaN to the right — the quant rank coding
-// reproduces it bit-for-bit in integer space) and emits the same leaf
-// doubles, so the dispatch level never changes a prediction bit. Kernels
-// handle numerical splits only: trees containing categorical splits take
-// the llround set-membership walk in flat_forest.cpp regardless of level.
+// Both tiers route rows identically (`code >= rank`, which the rank coding
+// makes exactly `value <= threshold`, NaN to the right) and emit the same
+// leaf doubles, so the dispatch level never changes a prediction bit.
+// Kernels handle numerical splits only: trees containing categorical
+// splits take FlatForest's scalar set-membership walk regardless of level.
 //
 // Selection: AVX2 wins when it is compiled in (PWU_SIMD CMake option,
 // auto|off) and supported by the running CPU; the PWU_SIMD_LEVEL
 // environment variable (scalar|avx2) or set_level_override() clamps it
 // down — that is how the `simd` ctest preset pins the scalar fallback on
-// AVX2 hosts, and how bench/micro_rf sweeps the matrix. An unrecognised
+// AVX2 hosts, and how bench/micro_rf sweeps the tiers. An unrecognised
 // PWU_SIMD_LEVEL clamps to scalar, never up.
 
 #pragma once
@@ -33,8 +31,7 @@
 
 namespace pwu::rf {
 
-struct FlatNode;
-struct QuantNode;
+struct RankNode;
 
 namespace simd {
 
@@ -54,29 +51,20 @@ Level active_level();
 void set_level_override(Level level);
 void clear_level_override();
 
-/// Evaluates one tree (numerical splits only) over `n` consecutive rows:
-/// row r starts at rows + r * stride. out[r] receives the leaf payload.
-using FlatTreeKernel = void (*)(const FlatNode* nodes, const double* rows,
-                                std::size_t stride, std::size_t n,
-                                double* out);
-
-/// Same contract over the 8-byte quantized layout, but driven by the
-/// precomputed rank matrix instead of raw feature doubles: row r's ranks
-/// live at ranks + r * rank_stride, and ranks[r][f] is the first code in
-/// feature f's codebook whose threshold is >= the row's value (the
-/// feature's past-the-end code for NaN). A split routes left iff
-/// `node.code >= rank` — exactly `value <= thresholds[code]` — so the
-/// whole walk is 32-bit integer compares against a block-resident table.
-/// `leaf_values` is the leaf table (indexed by a leaf's QuantNode::left).
-using QuantTreeKernel = void (*)(const QuantNode* nodes,
-                                 const std::int32_t* ranks,
-                                 std::size_t rank_stride,
-                                 const double* leaf_values, std::size_t n,
-                                 double* out);
+/// Evaluates one tree (numerical splits only) over `n` consecutive rows,
+/// driven by the block's precomputed rank matrix instead of raw feature
+/// doubles: row r's ranks live at ranks + r * rank_stride, and ranks[r][f]
+/// is the first code in feature f's codebook whose threshold is >= the
+/// row's value (the feature's past-the-end code for NaN). A split routes
+/// left iff `node.code >= rank` — exactly `value <= thresholds[code]` — so
+/// the whole walk is 32-bit integer compares against a block-resident
+/// table. out[r] receives leaf_values[leaf.left] of the leaf row r reaches.
+using TreeKernel = void (*)(const RankNode* nodes, const std::int32_t* ranks,
+                            std::size_t rank_stride, const double* leaf_values,
+                            std::size_t n, double* out);
 
 /// Kernel for `level`, clamped to detected_level().
-FlatTreeKernel flat_tree_kernel(Level level);
-QuantTreeKernel quant_tree_kernel(Level level);
+TreeKernel tree_kernel(Level level);
 
 /// Parses "scalar"/"avx2" (nullopt otherwise).
 std::optional<Level> parse_level(const char* name);
@@ -93,11 +81,9 @@ namespace detail {
 /// AVX2 tier, defined in simd_eval_avx2.cpp — the one TU built with
 /// -mavx2. Only referenced by dispatch when PWU_SIMD_HAS_AVX2 is set;
 /// never call directly (the running CPU may not support AVX2).
-void flat_tree_avx2(const FlatNode* nodes, const double* rows,
-                    std::size_t stride, std::size_t n, double* out);
-void quant_tree_avx2(const QuantNode* nodes, const std::int32_t* ranks,
-                     std::size_t rank_stride, const double* leaf_values,
-                     std::size_t n, double* out);
+void tree_avx2(const RankNode* nodes, const std::int32_t* ranks,
+               std::size_t rank_stride, const double* leaf_values,
+               std::size_t n, double* out);
 
 }  // namespace detail
 

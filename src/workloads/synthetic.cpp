@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "space/parameter.hpp"
@@ -104,7 +105,9 @@ WorkloadPtr make_quadratic_bowl(std::size_t dims, std::size_t levels,
                                 double base_seconds, bool noisy) {
   space::ParameterSpace space;
   for (std::size_t d = 0; d < dims; ++d) {
-    space.add(space::Parameter::int_range("x" + std::to_string(d + 1), 0,
+    std::string name = "x";
+    name.append(std::to_string(d + 1));
+    space.add(space::Parameter::int_range(std::move(name), 0,
                                           static_cast<long>(levels) - 1));
   }
   const double center = 0.5 * static_cast<double>(levels - 1);
@@ -140,7 +143,9 @@ WorkloadPtr make_mixed_modes(std::size_t modes, std::size_t dims,
   }
   space.add(space::Parameter::categorical("mode", std::move(mode_labels)));
   for (std::size_t d = 0; d < dims; ++d) {
-    space.add(space::Parameter::int_range("x" + std::to_string(d + 1), 0,
+    std::string name = "x";
+    name.append(std::to_string(d + 1));
+    space.add(space::Parameter::int_range(std::move(name), 0,
                                           static_cast<long>(levels) - 1));
   }
   const auto span = static_cast<double>(levels - 1);

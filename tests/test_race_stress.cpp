@@ -87,20 +87,15 @@ TEST(RaceStress, SessionManagerConcurrentAskTellRefit) {
     manager.create("s" + std::to_string(i), stress_spec(1000 + 17 * i));
   }
 
+  // The drivers wait until the poller has begun its first pass, so that
+  // pass always overlaps their mutations. Started after them, the poller
+  // could first run once all four short drives had already finished.
   std::atomic<std::size_t> finished{0};
-  std::vector<SessionStatus> final_status(kSessions);
-  std::vector<std::thread> drivers;
-  drivers.reserve(kSessions);
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    drivers.emplace_back([&, i] {
-      final_status[i] = drive(manager, "s" + std::to_string(i));
-      finished.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-
   std::atomic<std::size_t> polls{0};
+  std::atomic<bool> polling{false};
   std::thread poller([&] {
     while (finished.load(std::memory_order_relaxed) < kSessions) {
+      polling.store(true, std::memory_order_release);
       const auto all = manager.list();
       EXPECT_EQ(all.size(), kSessions);
       for (const auto& st : all) {
@@ -113,6 +108,19 @@ TEST(RaceStress, SessionManagerConcurrentAskTellRefit) {
       std::this_thread::yield();
     }
   });
+
+  std::vector<SessionStatus> final_status(kSessions);
+  std::vector<std::thread> drivers;
+  drivers.reserve(kSessions);
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    drivers.emplace_back([&, i] {
+      while (!polling.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      final_status[i] = drive(manager, "s" + std::to_string(i));
+      finished.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
 
   for (auto& t : drivers) t.join();
   poller.join();
@@ -328,8 +336,9 @@ TEST(RaceStress, FlatForestSharedParallelEval) {
   RandomForest forest;
   forest.fit(train, cfg, fit_rng);
 
-  FeatureMatrix probes = FeatureMatrix::with_capacity(space.num_params(), 200);
-  for (std::size_t i = 0; i < 200; ++i) {
+  // 600 rows make three row blocks, so the shared pool really fans out.
+  FeatureMatrix probes = FeatureMatrix::with_capacity(space.num_params(), 600);
+  for (std::size_t i = 0; i < 600; ++i) {
     space.write_features(space.random_config(rng), probes.append_row());
   }
   const std::vector<PredictionStats> reference =

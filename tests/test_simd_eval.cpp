@@ -1,23 +1,27 @@
-// The SIMD kernel tiers and the quantized 8-byte layout share one
-// contract with the flat engine: any dispatch level and either node
-// layout may change throughput only — never a single output bit. These
-// tests sweep every compiled tier over adversarial hand-built trees,
-// fitted forests on extreme-value data, the full workload registry, and
-// the golden pre-overhaul fixture.
+// The SIMD kernel tiers share one contract with the compiled forest: any
+// dispatch level may change throughput only — never a single output bit.
+// These tests sweep every compiled tier over adversarial hand-laid trees
+// (loaded through DecisionTree::load, so they pass through the same
+// compile step as fitted models), fitted forests on extreme-value data,
+// NaN feature values, the full workload registry, and forests past the
+// compiled layout's capacity.
 
 #include "rf/simd_eval.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "rf/decision_tree.hpp"
 #include "rf/feature_matrix.hpp"
 #include "rf/flat_forest.hpp"
-#include "rf/quantized_layout.hpp"
 #include "rf/random_forest.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -75,95 +79,230 @@ TEST(SimdEval, UnrecognisedEnvLevelClampsDispatchToScalar) {
   EXPECT_EQ(simd::env_level_ceiling(""), simd::Level::Scalar);
 }
 
-// ---- direct kernel tests on hand-built node tables ------------------------
+// ---- hand-laid trees -------------------------------------------------------
 //
-// The kernels see raw FlatNode arrays, so adversarial shapes (single leaf,
-// right-spine chains deeper than any fitted tree, threshold extremes) can
-// be laid out by hand in BFS order (right child = left + 1) without
-// coaxing the fitter into producing them.
+// Adversarial shapes (single leaf, right-spine chains deeper than any
+// fitted tree, threshold extremes, NaN) are written in DecisionTree::save's
+// format and loaded, so they reach the kernels through the same compile
+// step as fitted models, without coaxing the fitter into producing them.
 
-TEST(SimdEval, SingleLeafTreeAllTiers) {
-  const std::vector<FlatNode> nodes = {{3.25, -1, -1}};
-  const std::vector<double> rows(17, 0.0);  // 17 rows x 1 col, odd tail
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kMax = std::numeric_limits<double>::max();
+constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+
+/// One node of a hand-laid tree: a leaf (feature -1) or a split.
+struct HandNode {
+  int feature = -1;
+  bool categorical = false;
+  double threshold = 0.0;
+  std::uint64_t mask = 0;
+  double value = 0.0;
+  int left = -1;
+  int right = -1;
+};
+
+HandNode leaf(double value) { return {-1, false, 0.0, 0, value, -1, -1}; }
+
+HandNode le_split(int feature, double threshold, int left, int right) {
+  return {feature, false, threshold, 0, 0.0, left, right};
+}
+
+/// A forest of the given trees, loaded through RandomForest::load.
+RandomForest load_forest(const std::vector<std::vector<HandNode>>& trees) {
+  std::ostringstream text;
+  text.precision(std::numeric_limits<double>::max_digits10);
+  text << "pwu-random-forest 1\n" << trees.size() << " 0 1 2 0 0\n";
+  for (const auto& nodes : trees) {
+    text << "tree " << nodes.size() << '\n';
+    for (const HandNode& n : nodes) {
+      text << n.feature << ' ' << (n.categorical ? 1 : 0) << ' '
+           << n.threshold << ' ' << n.mask << " 0 " << n.value << ' '
+           << n.left << ' ' << n.right << '\n';
+    }
+  }
+  std::istringstream in(text.str());
+  RandomForest forest;
+  forest.load(in);
+  return forest;
+}
+
+/// `rows` rows of `width` columns; row r carries probes[r % size] in column
+/// `col` and junk elsewhere. 333 rows make two row blocks, the second with
+/// a full 64-row AVX2 group and a 13-row scalar tail.
+FeatureMatrix probe_rows(const std::vector<double>& probes, std::size_t width,
+                         std::size_t col, std::size_t rows = 333) {
+  FeatureMatrix m = FeatureMatrix::with_capacity(width, rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    auto dst = m.append_row();
+    for (std::size_t c = 0; c < width; ++c) dst[c] = c % 2 == 0 ? 1e9 : -1e9;
+    dst[col] = probes[r % probes.size()];
+  }
+  return m;
+}
+
+/// Every entry point, at every tier, serial and pooled, must put row r on
+/// the leaf worth expect[r % expect.size()] (one-tree forests: mean == leaf
+/// value, variance 0) — and so must the tree-walk reference.
+void expect_leaves(const RandomForest& forest, const FeatureMatrix& rows,
+                   const std::vector<double>& expect) {
+  util::ThreadPool pool(3);
+  for (std::size_t r = 0; r < rows.num_rows(); ++r) {
+    ASSERT_EQ(forest.predict_stats_reference(rows.row(r)).mean,
+              expect[r % expect.size()])
+        << "reference, row " << r;
+  }
   for (const simd::Level level : available_levels()) {
     SCOPED_TRACE(simd::level_name(level));
-    std::vector<double> out(17, -1.0);
-    simd::flat_tree_kernel(level)(nodes.data(), rows.data(), 1, 17,
-                                  out.data());
-    for (double v : out) EXPECT_EQ(v, 3.25);
+    LevelGuard guard(level);
+    const auto serial = forest.predict_stats_batch(rows);
+    const auto pooled = forest.predict_stats_batch(rows, &pool);
+    for (std::size_t r = 0; r < rows.num_rows(); ++r) {
+      const double want = expect[r % expect.size()];
+      EXPECT_EQ(serial[r].mean, want) << "row " << r;
+      EXPECT_EQ(serial[r].variance, 0.0) << "row " << r;
+      EXPECT_EQ(pooled[r].mean, want) << "row " << r;
+      EXPECT_EQ(forest.predict(rows.row(r)), want) << "row " << r;
+      EXPECT_EQ(forest.predict_stats(rows.row(r)).mean, want) << "row " << r;
+    }
   }
+}
+
+TEST(SimdEval, SingleLeafTreeAllTiers) {
+  const RandomForest forest = load_forest({{leaf(3.25)}});
+  ASSERT_FALSE(forest.flat().empty());
+  expect_leaves(forest, probe_rows({0.0, kNaN, -kMax}, 1, 0), {3.25});
 }
 
 TEST(SimdEval, DeepRightSpineChainAllTiers) {
   // 40 levels of "feature 0 <= i ? leaf : deeper": a row with value v lands
-  // on the leaf for floor(v)+1 (clamped), exercising lanes that finish many
-  // levels apart and the full-lane leaf blend.
+  // on the leaf for the first i with v <= i (999 past the chain), so lanes
+  // finish many levels apart and exercise the full-lane leaf blend. NaN
+  // fails every compare and runs the whole chain to the right.
   constexpr int kDepth = 40;
-  std::vector<FlatNode> nodes;
+  std::vector<HandNode> nodes;
   for (int i = 0; i < kDepth; ++i) {
-    FlatNode split;
-    split.feature = 0;
-    split.payload = static_cast<double>(i);
-    split.left = static_cast<std::int32_t>(nodes.size()) + 1;
-    nodes.push_back(split);                       // index 2i
-    nodes.push_back({100.0 + i, -1, -1});         // left leaf, index 2i+1
-    // right child = 2i+2 = the next split (or the final leaf below)
+    nodes.push_back(le_split(0, i, 2 * i + 1, 2 * i + 2));  // node 2i
+    nodes.push_back(leaf(100.0 + i));                       // node 2i+1
   }
-  nodes.push_back({999.0, -1, -1});
-  ASSERT_EQ(nodes.size(), 2u * kDepth + 1);
-  // BFS indexing fix-up: the loop above built a left-leaning array where
-  // right = left + 1 only holds if the next split immediately follows the
-  // leaf — which it does: split i at 2i, leaf at 2i+1, split i+1 at 2i+2.
-  std::vector<double> rows;
+  nodes.push_back(leaf(999.0));
+  const RandomForest forest = load_forest({nodes});
+  ASSERT_FALSE(forest.flat().empty());
+  std::vector<double> probes;
   std::vector<double> expect;
-  for (int r = 0; r < 27; ++r) {
-    const double v = static_cast<double>(r) - 3.5;  // negatives, .5 offsets
-    rows.push_back(v);
+  for (int r = 0; r < 47; ++r) {
+    probes.push_back(static_cast<double>(r) - 3.5);  // negatives, .5 offsets
+  }
+  probes.push_back(kNaN);
+  for (const double v : probes) {
     int i = 0;
     while (i < kDepth && !(v <= static_cast<double>(i))) ++i;
     expect.push_back(i < kDepth ? 100.0 + i : 999.0);
   }
+  EXPECT_EQ(expect.back(), 999.0);  // NaN
+  expect_leaves(forest, probe_rows(probes, 1, 0), expect);
+}
+
+TEST(SimdEval, ThresholdExtremesRouteIdenticallyAllTiers) {
+  // A right spine on feature 1 (of 3, so the rank stride is non-trivial)
+  // with thresholds at the extremes of the double line: +-DBL_MAX,
+  // +-1e-300, +-denormal, and both zeros (equal under <=, so they share
+  // one codebook entry). Probes hit every threshold, values between, and
+  // NaN, which must route right at every split.
+  const std::vector<double> thresholds = {-kMax, -1e-300, -kDenorm, 0.0,
+                                          -0.0,  kDenorm, 1e-300,   kMax};
+  std::vector<HandNode> nodes;
+  const int k = static_cast<int>(thresholds.size());
+  for (int i = 0; i < k; ++i) {
+    nodes.push_back(le_split(1, thresholds[static_cast<std::size_t>(i)],
+                             2 * i + 1, 2 * i + 2));
+    nodes.push_back(leaf(static_cast<double>(i)));
+  }
+  nodes.push_back(leaf(-1.0));
+  const RandomForest forest = load_forest({nodes});
+  ASSERT_FALSE(forest.flat().empty());
+  const std::vector<double> probes = {
+      0.0, -0.0, kDenorm, -kDenorm, kMax, -kMax, 1e-300, -1e-300, 0.5, -0.5,
+      2 * kDenorm, -2 * kDenorm, kNaN, -kNaN};
+  std::vector<double> expect;
+  for (const double v : probes) {
+    int i = 0;
+    while (i < k && !(v <= thresholds[static_cast<std::size_t>(i)])) ++i;
+    expect.push_back(i < k ? static_cast<double>(i) : -1.0);
+  }
+  EXPECT_EQ(expect[0], expect[1]);  // +0.0 and -0.0 route together
+  EXPECT_EQ(expect[12], -1.0);      // NaN: right at every split
+  EXPECT_EQ(expect[13], -1.0);
+  expect_leaves(forest, probe_rows(probes, 3, 1), expect);
+}
+
+TEST(SimdEval, ExtremeValueForestAgreesAtEveryTier) {
+  // A fitted forest over labels and features spanning ~600 orders of
+  // magnitude: the codebooks must hold the exact split doubles (no
+  // snapping), so even pathological thresholds route like the tree walk.
+  util::Rng rng(404);
+  Dataset data(2);
+  for (int i = 0; i < 120; ++i) {
+    const double a = std::ldexp(rng.uniform(0.5, 1.0),
+                                static_cast<int>(rng.uniform_int(-300, 300)));
+    const double b = rng.uniform(-1e9, 1e9);
+    data.add(std::vector<double>{a, b}, std::log(std::abs(a)) + b * 1e-9);
+  }
+  ForestConfig cfg;
+  cfg.num_trees = 6;
+  RandomForest fitted;
+  fitted.fit(data, cfg, rng);
+  ASSERT_FALSE(fitted.flat().empty());
+  FeatureMatrix extremes = FeatureMatrix::with_capacity(2, 300);
+  for (int i = 0; i < 300; ++i) {
+    auto dst = extremes.append_row();
+    dst[0] = i % 37 == 0 ? kNaN
+                         : std::ldexp(rng.uniform(0.5, 1.0),
+                                      static_cast<int>(
+                                          rng.uniform_int(-300, 300)));
+    dst[1] = i % 41 == 0 ? kNaN : rng.uniform(-1e9, 1e9);
+  }
+  util::ThreadPool pool(3);
   for (const simd::Level level : available_levels()) {
     SCOPED_TRACE(simd::level_name(level));
-    std::vector<double> out(rows.size(), -1.0);
-    simd::flat_tree_kernel(level)(nodes.data(), rows.data(), 1, rows.size(),
-                                  out.data());
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      EXPECT_EQ(out[r], expect[r]) << "row " << r;
+    LevelGuard guard(level);
+    const auto serial = fitted.predict_stats_batch(extremes);
+    const auto pooled = fitted.predict_stats_batch(extremes, &pool);
+    for (std::size_t i = 0; i < extremes.num_rows(); ++i) {
+      const PredictionStats ref =
+          fitted.predict_stats_reference(extremes.row(i));
+      EXPECT_EQ(serial[i].mean, ref.mean) << "row " << i;
+      EXPECT_EQ(serial[i].variance, ref.variance) << "row " << i;
+      EXPECT_EQ(pooled[i].mean, ref.mean) << "row " << i;
+      EXPECT_EQ(pooled[i].variance, ref.variance) << "row " << i;
     }
   }
 }
 
-TEST(SimdEval, ThresholdExtremesRouteIdenticallyAllTiers) {
-  // One split on feature 1 at threshold 0.0; probes hit +-0.0, denormals,
-  // +-DBL_MAX, and values on both sides of the boundary. 3-wide rows make
-  // the stride gather arithmetic non-trivial.
-  const std::vector<FlatNode> nodes = {
-      {0.0, 1, 1}, {-1.0, -1, -1}, {+1.0, -1, -1}};
-  const std::vector<double> probes = {
-      0.0, -0.0, std::numeric_limits<double>::denorm_min(),
-      -std::numeric_limits<double>::denorm_min(),
-      std::numeric_limits<double>::max(),
-      -std::numeric_limits<double>::max(), 1e-300, -1e-300, 0.5, -0.5};
-  std::vector<double> rows;
-  for (const double p : probes) {
-    rows.push_back(1e9);  // feature 0: must be ignored
-    rows.push_back(p);
-    rows.push_back(-1e9);
+TEST(SimdEval, NanRoutesLikeGoesLeftThroughCategoricalSplits) {
+  // Trees with a categorical split take the scalar set-membership walk at
+  // every tier; a NaN level must land where Split::goes_left sends it
+  // (right), and NaN in the numerical split below must too.
+  Split cat;
+  cat.feature = 0;
+  cat.categorical = true;
+  cat.left_mask = 0b101;  // levels 0 and 2 go left
+  const std::vector<HandNode> nodes = {
+      {0, true, 0.0, cat.left_mask, 0.0, 1, 2}, le_split(1, 0.5, 3, 4),
+      leaf(7.0), leaf(1.0), leaf(2.0)};
+  const RandomForest forest = load_forest({nodes});
+  ASSERT_FALSE(forest.flat().empty());
+  const std::vector<std::vector<double>> probes = {
+      {0.0, 0.0}, {1.0, 0.0},   {2.0, 1.0},   {3.0, 0.0},
+      {63.0, 0.0}, {64.0, 0.0}, {kNaN, 0.0}, {2.0, kNaN}};
+  const FeatureMatrix rows = FeatureMatrix::from_rows(probes);
+  std::vector<double> expect;
+  for (const auto& p : probes) {
+    expect.push_back(cat.goes_left(p[0]) ? (p[1] <= 0.5 ? 1.0 : 2.0) : 7.0);
   }
-  std::vector<double> reference(probes.size());
-  for (std::size_t r = 0; r < probes.size(); ++r) {
-    reference[r] = probes[r] <= 0.0 ? -1.0 : +1.0;
-  }
-  for (const simd::Level level : available_levels()) {
-    SCOPED_TRACE(simd::level_name(level));
-    std::vector<double> out(probes.size(), 0.0);
-    simd::flat_tree_kernel(level)(nodes.data(), rows.data(), 3,
-                                  probes.size(), out.data());
-    for (std::size_t r = 0; r < probes.size(); ++r) {
-      EXPECT_EQ(out[r], reference[r]) << "probe " << probes[r];
-    }
-  }
+  EXPECT_FALSE(cat.goes_left(kNaN));
+  EXPECT_EQ(expect[6], 7.0);  // NaN level: right
+  EXPECT_EQ(expect[7], 2.0);  // NaN value under the numerical split: right
+  expect_leaves(forest, rows, expect);
 }
 
 // ---- fitted forests: every tier == the tree-walk reference ----------------
@@ -180,49 +319,108 @@ Dataset space_dataset(const workloads::Workload& workload, std::size_t n,
   return data;
 }
 
+/// permutation_importance's definition, evaluated through the tree-walk
+/// reference: the same permutation draws, MSE over the permuted rows.
+std::vector<double> reference_importance(const RandomForest& forest,
+                                         const Dataset& data,
+                                         util::Rng& rng) {
+  const std::size_t n = data.size();
+  const std::size_t d = data.num_features();
+  std::vector<double> row(d);
+  const auto mse = [&](const std::vector<std::size_t>& perm,
+                       std::size_t permuted) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t c = 0; c < d; ++c) row[c] = data.x(i, c);
+      if (permuted < d) row[permuted] = data.x(perm[i], permuted);
+      const double err = forest.predict_stats_reference(row).mean - data.y(i);
+      acc += err * err;
+    }
+    return acc / static_cast<double>(n);
+  };
+  std::vector<std::size_t> perm(n);
+  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+  const double baseline = mse(perm, d);
+  std::vector<double> importance(d);
+  for (std::size_t f = 0; f < d; ++f) {
+    rng.shuffle(perm);
+    importance[f] = mse(perm, f) - baseline;
+  }
+  return importance;
+}
+
 TEST(SimdEval, EveryTierBitExactAcrossAllWorkloadSpaces) {
+  // Every prediction entry point, at every tier, serial and pooled, on the
+  // paper's full problem set: pool scoring, single rows and permutation
+  // importance against the tree-walk reference, and the OOB pass against
+  // itself. 300 rows make two row blocks, so the pool really runs.
   util::ThreadPool pool(3);
   for (const auto& name : workloads::all_names()) {
     SCOPED_TRACE(name);
     const auto workload = workloads::make_workload(name);
     util::Rng rng(0x51D + std::hash<std::string>{}(name) % 1000);
-    const Dataset train = space_dataset(*workload, 70, rng);
+    const Dataset train = space_dataset(*workload, 300, rng);
+    const Dataset holdout = space_dataset(*workload, 300, rng);
 
     ForestConfig cfg;
     cfg.num_trees = 11;
+    cfg.compute_oob = true;
     util::Rng fit_rng(17);
     RandomForest forest;
     forest.fit(train, cfg, fit_rng);
+    ASSERT_FALSE(forest.flat().empty());
 
-    const auto& space = workload->space();
-    FeatureMatrix probes = FeatureMatrix::with_capacity(space.num_params(), 90);
-    for (std::size_t i = 0; i < 90; ++i) {
-      space.write_features(space.random_config(rng), probes.append_row());
+    FeatureMatrix probes =
+        FeatureMatrix::with_capacity(holdout.num_features(), holdout.size());
+    for (std::size_t i = 0; i < holdout.size(); ++i) {
+      probes.add_row(holdout.row(i));
     }
-
     std::vector<PredictionStats> reference(probes.num_rows());
     for (std::size_t i = 0; i < probes.num_rows(); ++i) {
       reference[i] = forest.predict_stats_reference(probes.row(i));
     }
+    util::Rng ref_perm_rng(5);
+    const std::vector<double> ref_importance =
+        reference_importance(forest, holdout, ref_perm_rng);
+
     for (const simd::Level level : available_levels()) {
       SCOPED_TRACE(simd::level_name(level));
       LevelGuard guard(level);
-      const auto serial = forest.predict_stats_batch(probes);
-      const auto parallel = forest.predict_stats_batch(probes, &pool);
+      for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
+                                  &pool}) {
+        SCOPED_TRACE(p == nullptr ? "serial" : "pooled");
+        const auto batch = forest.predict_stats_batch(probes, p);
+        for (std::size_t i = 0; i < probes.num_rows(); ++i) {
+          EXPECT_EQ(batch[i].mean, reference[i].mean);
+          EXPECT_EQ(batch[i].variance, reference[i].variance);
+        }
+        util::Rng perm_rng(5);
+        EXPECT_EQ(forest.permutation_importance(holdout, perm_rng, p),
+                  ref_importance);
+        RandomForest refit;
+        util::Rng refit_rng(17);
+        refit.fit(train, cfg, refit_rng, p);
+        EXPECT_EQ(refit.oob_rmse(), forest.oob_rmse());
+      }
       for (std::size_t i = 0; i < probes.num_rows(); ++i) {
-        EXPECT_EQ(serial[i].mean, reference[i].mean);
-        EXPECT_EQ(serial[i].variance, reference[i].variance);
-        EXPECT_EQ(parallel[i].mean, reference[i].mean);
-        EXPECT_EQ(parallel[i].variance, reference[i].variance);
+        const PredictionStats one = forest.predict_stats(probes.row(i));
+        EXPECT_EQ(one.mean, reference[i].mean);
+        EXPECT_EQ(one.variance, reference[i].variance);
+        EXPECT_EQ(forest.predict(probes.row(i)), reference[i].mean);
       }
     }
   }
 }
 
-TEST(QuantizedForest, RoutingEquivalentAcrossAllWorkloadSpacesAndTiers) {
-  // The compaction contract: 8-byte nodes with rank-coded thresholds agree
-  // with the 16-byte layout label for label — every mean and variance bit
-  // — on the paper's full problem set, at every dispatch level.
+TEST(SimdEval, RoutingEquivalentAcrossAllWorkloadSpacesAndTiers) {
+  // The compile contract, tree by tree, on the paper's full problem set:
+  // every row reaches the leaf DecisionTree::predict reaches, in every
+  // tree, at every dispatch level, whether row blocks run serially or
+  // concurrently on the pool. The 8-byte layout with its side tables is
+  // also smaller than the node tables it compiles.
+  constexpr std::size_t kRows = 300;  // one full row block and a partial one
+  constexpr std::size_t kBlock = FlatForest::kRowBlock;
+  constexpr std::size_t kBlocks = (kRows + kBlock - 1) / kBlock;
   util::ThreadPool pool(3);
   for (const auto& name : workloads::all_names()) {
     SCOPED_TRACE(name);
@@ -230,53 +428,78 @@ TEST(QuantizedForest, RoutingEquivalentAcrossAllWorkloadSpacesAndTiers) {
     util::Rng rng(0x0A7 + std::hash<std::string>{}(name) % 1000);
     const Dataset train = space_dataset(*workload, 70, rng);
 
-    ForestConfig cfg;
-    cfg.num_trees = 9;
+    std::vector<DecisionTree> trees(9);
+    std::size_t tree_nodes = 0;
+    std::size_t tree_bytes = 0;
     util::Rng fit_rng(23);
-    RandomForest forest;
-    forest.fit(train, cfg, fit_rng);
-
-    QuantizedForest quant;
-    ASSERT_TRUE(quant.build(forest.flat()));
-    EXPECT_EQ(quant.num_trees(), forest.flat().num_trees());
-    EXPECT_EQ(quant.num_nodes(), forest.flat().num_nodes());
-    // The whole point of the compaction: half the node bytes. (The total
-    // footprint also carries the threshold codebooks and the leaf-value
-    // table, so on tiny leaf-heavy forests it can exceed the flat layout;
-    // the node-array halving is the invariant, the side tables are bounded
-    // by one double per leaf plus one per distinct threshold.)
-    EXPECT_EQ(quant.nodes().size() * sizeof(QuantNode),
-              forest.flat().nodes().size() * sizeof(rf::FlatNode) / 2);
-    EXPECT_LE(quant.memory_bytes(),
-              forest.flat().memory_bytes() + forest.flat().memory_bytes() / 2);
+    for (auto& tree : trees) {
+      tree.fit(train, fit_rng.bootstrap_indices(train.size()), TreeConfig{},
+               fit_rng);
+      tree_nodes += tree.num_nodes();
+      tree_bytes += tree.memory_bytes();
+    }
+    FlatForest flat;
+    ASSERT_TRUE(flat.build(trees));
+    EXPECT_EQ(flat.num_trees(), trees.size());
+    EXPECT_EQ(flat.num_nodes(), tree_nodes);
+    EXPECT_LT(flat.memory_bytes(), tree_bytes);
 
     const auto& space = workload->space();
     FeatureMatrix probes =
-        FeatureMatrix::with_capacity(space.num_params(), 100);
-    for (std::size_t i = 0; i < 100; ++i) {
+        FeatureMatrix::with_capacity(space.num_params(), kRows);
+    for (std::size_t i = 0; i < kRows; ++i) {
       space.write_features(space.random_config(rng), probes.append_row());
+    }
+    std::vector<double> expect(trees.size() * kRows);  // tree-major
+    for (std::size_t t = 0; t < trees.size(); ++t) {
+      for (std::size_t r = 0; r < kRows; ++r) {
+        expect[t * kRows + r] = trees[t].predict(probes.row(r));
+      }
     }
 
     for (const simd::Level level : available_levels()) {
       SCOPED_TRACE(simd::level_name(level));
       LevelGuard guard(level);
-      std::vector<PredictionStats> full(probes.num_rows());
-      std::vector<PredictionStats> compact(probes.num_rows());
-      forest.flat().predict_stats(probes, full);
-      quant.predict_stats(probes, compact);
-      std::vector<PredictionStats> compact_mt(probes.num_rows());
-      quant.predict_stats(probes, compact_mt, &pool);
-      for (std::size_t i = 0; i < probes.num_rows(); ++i) {
-        EXPECT_EQ(compact[i].mean, full[i].mean);
-        EXPECT_EQ(compact[i].variance, full[i].variance);
-        EXPECT_EQ(compact_mt[i].mean, full[i].mean);
-        EXPECT_EQ(compact_mt[i].variance, full[i].variance);
+      for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
+                                  &pool}) {
+        SCOPED_TRACE(p == nullptr ? "serial" : "pooled");
+        std::vector<std::vector<double>> out(kBlocks);
+        const auto run_block = [&](std::size_t b) {
+          const std::size_t begin = b * kBlock;
+          const std::size_t n = std::min(kBlock, kRows - begin);
+          out[b].assign(trees.size() * n, 0.0);
+          flat.predict_block(probes.row(begin).data(), probes.num_cols(), n,
+                             out[b]);
+        };
+        if (p == nullptr) {
+          for (std::size_t b = 0; b < kBlocks; ++b) run_block(b);
+        } else {
+          p->parallel_for(0, kBlocks, run_block);
+        }
+        for (std::size_t b = 0; b < kBlocks; ++b) {
+          const std::size_t begin = b * kBlock;
+          const std::size_t n = std::min(kBlock, kRows - begin);
+          for (std::size_t t = 0; t < trees.size(); ++t) {
+            for (std::size_t r = 0; r < n; ++r) {
+              EXPECT_EQ(out[b][t * n + r], expect[t * kRows + begin + r])
+                  << "tree " << t << ", row " << begin + r;
+            }
+          }
+        }
+      }
+      std::vector<double> per_tree(trees.size());
+      for (std::size_t r = 0; r < kRows; ++r) {
+        flat.predict_per_tree(probes.row(r), per_tree);
+        for (std::size_t t = 0; t < trees.size(); ++t) {
+          EXPECT_EQ(per_tree[t], expect[t * kRows + r])
+              << "tree " << t << ", row " << r;
+        }
       }
     }
   }
 }
 
-TEST(QuantizedForest, GoldenFixtureAgreesAtEveryTier) {
+TEST(SimdEval, GoldenFixtureAgreesAtEveryTier) {
   const std::string path =
       std::string(PWU_TEST_DATA_DIR) + "/golden_forest_v0.txt";
   std::ifstream in(path);
@@ -286,9 +509,7 @@ TEST(QuantizedForest, GoldenFixtureAgreesAtEveryTier) {
   ASSERT_EQ(t2, "MODEL");
   RandomForest forest;
   forest.load(in);
-
-  QuantizedForest quant;
-  ASSERT_TRUE(quant.build(forest.flat()));
+  ASSERT_FALSE(forest.flat().empty());
 
   ASSERT_TRUE(in >> t1 >> t2 >> t3);
   ASSERT_EQ(t2, "PREDICTIONS");
@@ -307,80 +528,12 @@ TEST(QuantizedForest, GoldenFixtureAgreesAtEveryTier) {
   for (const simd::Level level : available_levels()) {
     SCOPED_TRACE(simd::level_name(level));
     LevelGuard guard(level);
-    std::vector<PredictionStats> out(count);
-    quant.predict_stats(probes, out);
+    const auto out = forest.predict_stats_batch(probes);
     for (std::size_t i = 0; i < count; ++i) {
       EXPECT_EQ(out[i].mean, expected_mean[i]) << "row " << i;
       EXPECT_EQ(out[i].variance, expected_variance[i]) << "row " << i;
     }
   }
-}
-
-TEST(QuantizedForest, ExtremeValueForestSurvivesCompaction) {
-  // Labels and features spanning ~600 orders of magnitude: rank coding
-  // must reproduce the exact threshold doubles (no midpoint snapping), so
-  // even pathological split values round-trip.
-  util::Rng rng(404);
-  Dataset data(2);
-  for (int i = 0; i < 120; ++i) {
-    const double a = std::ldexp(rng.uniform(0.5, 1.0),
-                              static_cast<int>(rng.uniform_int(-300, 300)));
-    const double b = rng.uniform(-1e9, 1e9);
-    data.add(std::vector<double>{a, b}, std::log(std::abs(a)) + b * 1e-9);
-  }
-  ForestConfig cfg;
-  cfg.num_trees = 6;
-  RandomForest forest;
-  forest.fit(data, cfg, rng);
-
-  QuantizedForest quant;
-  ASSERT_TRUE(quant.build(forest.flat()));
-
-  FeatureMatrix probes = FeatureMatrix::with_capacity(2, 64);
-  for (int i = 0; i < 64; ++i) {
-    auto dst = probes.append_row();
-    dst[0] = std::ldexp(rng.uniform(0.5, 1.0),
-                              static_cast<int>(rng.uniform_int(-300, 300)));
-    dst[1] = rng.uniform(-1e9, 1e9);
-  }
-  for (const simd::Level level : available_levels()) {
-    SCOPED_TRACE(simd::level_name(level));
-    LevelGuard guard(level);
-    std::vector<PredictionStats> full(64), compact(64);
-    forest.flat().predict_stats(probes, full);
-    quant.predict_stats(probes, compact);
-    for (std::size_t i = 0; i < 64; ++i) {
-      EXPECT_EQ(compact[i].mean, full[i].mean);
-      EXPECT_EQ(compact[i].variance, full[i].variance);
-    }
-  }
-}
-
-TEST(QuantizedForest, EmptyAndErrorPaths) {
-  QuantizedForest quant;
-  EXPECT_TRUE(quant.empty());
-  EXPECT_FALSE(quant.build(FlatForest{}));  // nothing to compact
-  EXPECT_TRUE(quant.empty());
-
-  util::Rng rng(7);
-  Dataset data(1);
-  for (int i = 0; i < 30; ++i) {
-    data.add(std::vector<double>{rng.uniform(0.0, 1.0)},
-             rng.uniform(0.0, 1.0));
-  }
-  ForestConfig cfg;
-  cfg.num_trees = 3;
-  RandomForest forest;
-  forest.fit(data, cfg, rng);
-  ASSERT_TRUE(quant.build(forest.flat()));
-  EXPECT_FALSE(quant.empty());
-
-  std::vector<PredictionStats> wrong(2);
-  const FeatureMatrix rows = FeatureMatrix::from_rows({{0.5}});
-  EXPECT_THROW(quant.predict_stats(rows, wrong), std::invalid_argument);
-  quant.clear();
-  std::vector<PredictionStats> one(1);
-  EXPECT_THROW(quant.predict_stats(rows, one), std::logic_error);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
 #include <unordered_set>
 
 #include "core/active_learner.hpp"
@@ -19,6 +21,13 @@ struct MatrixCase {
   std::string workload;
   std::string strategy;
 };
+
+// Names the case in test IDs; without it gtest prints the struct's raw
+// bytes, heap pointers included, and the ctest IDs change from build to
+// build.
+void PrintTo(const MatrixCase& c, std::ostream* os) {
+  *os << c.workload << '/' << c.strategy;
+}
 
 std::vector<MatrixCase> matrix_cases() {
   std::vector<MatrixCase> cases;

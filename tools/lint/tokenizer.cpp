@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace pwu::lint {
 
@@ -74,7 +75,9 @@ void strip_source(SourceFile& file) {
                 raw_delim = ")\"";
                 i = in.size();
               } else {
-                raw_delim = ")" + in.substr(i + 1, paren - i - 1) + "\"";
+                std::string delim(1, ')');
+                delim.append(in, i + 1, paren - i - 1).push_back('"');
+                raw_delim = std::move(delim);
                 state = State::Raw;
                 i = paren;
               }
