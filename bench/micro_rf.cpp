@@ -11,10 +11,12 @@
 //   flat       the blocked FlatForest engine ("after", what predict_stats
 //              actually routes through), at the dispatched SIMD level
 // plus the bit-exactness check that flat == reference on every pool row,
-// and a sweep of the engine's kernel tiers (scalar|avx2), each pinned and
-// checked bit-exact the same way. The seed_baseline_* constants are the
-// pre-overhaul numbers measured on the same container (single-threaded),
-// kept for before/after context.
+// and two sweeps of the engine's kernel tiers (scalar|avx2), each pinned
+// and checked bit-exact the same way: one over that numerical pool, one
+// over a categorical workload's forest and pool (hypre, serve_model's
+// session size). The seed_baseline_* constants are the pre-overhaul
+// numbers measured on the same container (single-threaded), kept for
+// before/after context.
 
 #include <algorithm>
 #include <chrono>
@@ -26,6 +28,7 @@
 #include "rf/random_forest.hpp"
 #include "rf/simd_eval.hpp"
 #include "util/rng.hpp"
+#include "workloads/registry.hpp"
 
 namespace {
 
@@ -78,6 +81,87 @@ double time_best_ms(int repeats, Fn&& body) {
         best, std::chrono::duration<double, std::milli>(stop - start).count());
   }
   return best;
+}
+
+namespace simd = pwu::rf::simd;
+
+struct LevelCell {
+  const char* level;
+  double ms = 0.0;
+  bool bit_exact = true;
+  bool available = false;
+};
+
+bool same_stats(const std::vector<PredictionStats>& got,
+                const std::vector<PredictionStats>& want) {
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (got[i].mean != want[i].mean || got[i].variance != want[i].variance) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Each kernel tier over `pool`, single-threaded, pinned via
+/// set_level_override and checked bit-for-bit against `ref`.
+std::vector<LevelCell> sweep_levels(const RandomForest& forest,
+                                    const FeatureMatrix& pool,
+                                    const std::vector<PredictionStats>& ref,
+                                    int repeats) {
+  std::vector<LevelCell> cells;
+  for (const simd::Level level : {simd::Level::Scalar, simd::Level::Avx2}) {
+    LevelCell cell{simd::level_name(level)};
+    if (level <= simd::detected_level()) {
+      simd::set_level_override(level);
+      std::vector<PredictionStats> out;
+      cell.available = true;
+      cell.ms = time_best_ms(repeats,
+                             [&] { out = forest.predict_stats_batch(pool); });
+      cell.bit_exact = same_stats(out, ref);
+      simd::clear_level_override();
+    }
+    cells.push_back(cell);
+  }
+  return cells;
+}
+
+bool cells_exact(const std::vector<LevelCell>& cells) {
+  bool exact = true;
+  for (const LevelCell& cell : cells) {
+    if (cell.available) exact = exact && cell.bit_exact;
+  }
+  return exact;
+}
+
+void write_cells(std::ostream& json, const std::vector<LevelCell>& cells,
+                 std::size_t rows) {
+  const double scalar_ms = cells[0].ms;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const LevelCell& cell = cells[i];
+    json << "      {\"level\": \"" << cell.level << "\", \"available\": "
+         << (cell.available ? "true" : "false");
+    if (cell.available) {
+      json << ", \"ms\": " << cell.ms << ", \"rows_per_sec\": "
+           << 1000.0 * static_cast<double>(rows) / cell.ms
+           << ", \"speedup_vs_scalar\": " << scalar_ms / cell.ms
+           << ", \"bit_exact\": " << (cell.bit_exact ? "true" : "false");
+    }
+    json << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
+  }
+}
+
+void print_cells(const std::vector<LevelCell>& cells) {
+  const double scalar_ms = cells[0].ms;
+  for (const LevelCell& cell : cells) {
+    std::cout << "  " << cell.level << ": ";
+    if (cell.available) {
+      std::cout << cell.ms << " ms (" << scalar_ms / cell.ms
+                << "x scalar, bit-exact " << (cell.bit_exact ? "yes" : "NO")
+                << ")\n";
+    } else {
+      std::cout << "unavailable on this host\n";
+    }
+  }
 }
 
 }  // namespace
@@ -133,47 +217,49 @@ int main(int argc, char** argv) {
   const double ref_rows_per_sec = 1000.0 * pool_rows / ref_ms;
 
   // ---- SIMD levels: each kernel tier over the same pool ----
-  // Each tier is timed with the level pinned via set_level_override, checked
-  // bit-for-bit against the reference walks, and reported relative to the
-  // scalar tier so the kernel speedup is separated from the engine speedup
-  // above.
-  namespace simd = pwu::rf::simd;
-  struct LevelCell {
-    const char* level;
-    double ms = 0.0;
-    bool bit_exact = true;
-    bool available = false;
-  };
-  std::vector<LevelCell> cells;
-  const auto exact_vs_ref = [&](const std::vector<PredictionStats>& got) {
-    for (std::size_t i = 0; i < pool_rows; ++i) {
-      if (got[i].mean != ref_out[i].mean ||
-          got[i].variance != ref_out[i].variance) {
-        return false;
-      }
-    }
-    return true;
-  };
-  for (const simd::Level level : {simd::Level::Scalar, simd::Level::Avx2}) {
-    LevelCell cell{simd::level_name(level)};
-    if (level <= simd::detected_level()) {
-      simd::set_level_override(level);
-      std::vector<PredictionStats> out;
-      cell.available = true;
-      cell.ms = time_best_ms(5, [&] { out = forest.predict_stats_batch(pool); });
-      cell.bit_exact = exact_vs_ref(out);
-      simd::clear_level_override();
-    }
-    cells.push_back(cell);
-  }
+  // Reported relative to the scalar tier so the kernel speedup is separated
+  // from the engine speedup above.
+  const std::vector<LevelCell> cells = sweep_levels(forest, pool, ref_out, 5);
   const double scalar_ms = cells[0].ms;
   double best_kernel_speedup = 1.0;
-  bool levels_exact = true;
   for (const LevelCell& cell : cells) {
     if (!cell.available) continue;
-    levels_exact = levels_exact && cell.bit_exact;
     best_kernel_speedup = std::max(best_kernel_speedup, scalar_ms / cell.ms);
   }
+  const bool levels_exact = cells_exact(cells);
+
+  // ---- categorical forest: hypre at serve_model's session size ----
+  // 100 trees on 40 labels, scoring a 4000-row pool of the same space:
+  // trees split on categorical parameters, so every tier exercises its
+  // mask-bit test.
+  constexpr std::size_t kCatLabels = 40;
+  constexpr std::size_t kCatPool = 4000;
+  const auto workload = pwu::workloads::make_workload("hypre");
+  const auto& space = workload->space();
+  pwu::util::Rng cat_rng(11);
+  Dataset cat_train(space.num_params(), space.categorical_mask(),
+                    space.cardinalities());
+  for (std::size_t i = 0; i < kCatLabels; ++i) {
+    const auto config = space.random_config(cat_rng);
+    cat_train.add(space.features(config),
+                  workload->measure(config, cat_rng, 1));
+  }
+  ForestConfig cat_cfg;
+  cat_cfg.num_trees = 100;
+  RandomForest cat_forest;
+  cat_forest.fit(cat_train, cat_cfg, cat_rng);
+  FeatureMatrix cat_pool =
+      FeatureMatrix::with_capacity(space.num_params(), kCatPool);
+  for (std::size_t i = 0; i < kCatPool; ++i) {
+    space.write_features(space.random_config(cat_rng), cat_pool.append_row());
+  }
+  std::vector<PredictionStats> cat_ref(kCatPool);
+  for (std::size_t i = 0; i < kCatPool; ++i) {
+    cat_ref[i] = cat_forest.predict_stats_reference(cat_pool.row(i));
+  }
+  const std::vector<LevelCell> cat_cells =
+      sweep_levels(cat_forest, cat_pool, cat_ref, 15);
+  const bool cat_exact = cells_exact(cat_cells);
 
   std::ofstream json(out_path);
   json.precision(6);
@@ -199,18 +285,7 @@ int main(int argc, char** argv) {
        << simd::level_name(simd::detected_level()) << "\",\n"
        << "    \"pool_rows\": " << pool_rows << ", \"trees\": 200,\n"
        << "    \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const LevelCell& cell = cells[i];
-    json << "      {\"level\": \"" << cell.level << "\", \"available\": "
-         << (cell.available ? "true" : "false");
-    if (cell.available) {
-      json << ", \"ms\": " << cell.ms << ", \"rows_per_sec\": "
-           << 1000.0 * pool_rows / cell.ms << ", \"speedup_vs_scalar\": "
-           << scalar_ms / cell.ms << ", \"bit_exact\": "
-           << (cell.bit_exact ? "true" : "false");
-    }
-    json << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
+  write_cells(json, cells, pool_rows);
   json << "    ],\n"
        << "    \"best_kernel_speedup_vs_scalar\": " << best_kernel_speedup
        << ",\n"
@@ -218,6 +293,15 @@ int main(int argc, char** argv) {
        << "    \"target_met\": "
        << (best_kernel_speedup >= 2.0 ? "true" : "false") << ",\n"
        << "    \"bit_exact\": " << (levels_exact ? "true" : "false") << "\n"
+       << "  },\n"
+       << "  \"categorical_levels\": {\n"
+       << "    \"workload\": \"hypre\", \"train_rows\": " << kCatLabels
+       << ", \"trees\": " << cat_cfg.num_trees << ",\n"
+       << "    \"pool_rows\": " << kCatPool << ",\n"
+       << "    \"cells\": [\n";
+  write_cells(json, cat_cells, kCatPool);
+  json << "    ],\n"
+       << "    \"bit_exact\": " << (cat_exact ? "true" : "false") << "\n"
        << "  },\n"
        << "  \"bit_exact\": " << (bit_exact ? "true" : "false") << "\n"
        << "}\n";
@@ -236,18 +320,13 @@ int main(int argc, char** argv) {
             << "bit-exact flat == reference: " << (bit_exact ? "yes" : "NO")
             << "\nsimd levels (detected " << simd::level_name(simd::detected_level())
             << "):\n";
-  for (const LevelCell& cell : cells) {
-    std::cout << "  " << cell.level << ": ";
-    if (cell.available) {
-      std::cout << cell.ms << " ms (" << scalar_ms / cell.ms
-                << "x scalar, bit-exact " << (cell.bit_exact ? "yes" : "NO")
-                << ")\n";
-    } else {
-      std::cout << "unavailable on this host\n";
-    }
-  }
+  print_cells(cells);
   std::cout << "  best kernel speedup vs scalar: " << best_kernel_speedup
             << "x (target 2x " << (best_kernel_speedup >= 2.0 ? "met" : "MISSED")
-            << ")\nwrote " << out_path << "\n";
-  return bit_exact && levels_exact ? 0 : 1;
+            << ")\ncategorical levels (hypre, " << cat_cfg.num_trees
+            << " trees, " << kCatLabels << " labels, " << kCatPool
+            << "-row pool):\n";
+  print_cells(cat_cells);
+  std::cout << "wrote " << out_path << "\n";
+  return bit_exact && levels_exact && cat_exact ? 0 : 1;
 }

@@ -35,11 +35,11 @@ struct PoolPrediction {
   /// caller does not track it; EI then treats the smallest predicted mean
   /// as the incumbent.
   double best_observed = std::numeric_limits<double>::quiet_NaN();
-  /// Candidate feature rows (optional; filled by the active learner), one
-  /// per pool entry in one contiguous matrix. Diversity-aware batch
-  /// strategies need them; plain strategies ignore them. Empty =
-  /// unavailable.
-  rf::FeatureMatrix features;
+  /// Candidate feature rows (optional; set by the active learner), one per
+  /// pool entry in one contiguous matrix. A non-owning view: the matrix
+  /// must outlive select(). Diversity-aware batch strategies need them;
+  /// plain strategies ignore them. Null or empty = unavailable.
+  const rf::FeatureMatrix* features = nullptr;
 
   std::size_t size() const { return mean.size(); }
 };

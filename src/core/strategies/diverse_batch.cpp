@@ -36,19 +36,21 @@ class DiversePwuStrategy final : public SamplingStrategy {
                                   std::size_t batch,
                                   util::Rng& /*rng*/) const override {
     const std::vector<double> scores = pwu_scores(prediction, alpha_);
-    if (batch <= 1 || prediction.features.empty() || weight_ == 0.0) {
+    if (batch <= 1 || prediction.features == nullptr ||
+        prediction.features->empty() || weight_ == 0.0) {
       return top_k_indices(scores, batch);
     }
 
+    const rf::FeatureMatrix& features = *prediction.features;
     const std::size_t n = prediction.size();
-    const std::size_t dims = prediction.features.num_cols();
+    const std::size_t dims = features.num_cols();
 
     // Per-dimension min-max normalization so no feature dominates the
     // distance.
     std::vector<double> lo(dims, std::numeric_limits<double>::infinity());
     std::vector<double> hi(dims, -std::numeric_limits<double>::infinity());
-    for (std::size_t r = 0; r < prediction.features.num_rows(); ++r) {
-      const auto row = prediction.features.row(r);
+    for (std::size_t r = 0; r < features.num_rows(); ++r) {
+      const auto row = features.row(r);
       for (std::size_t d = 0; d < dims; ++d) {
         lo[d] = std::min(lo[d], row[d]);
         hi[d] = std::max(hi[d], row[d]);
@@ -59,8 +61,8 @@ class DiversePwuStrategy final : public SamplingStrategy {
       inv_range[d] = hi[d] > lo[d] ? 1.0 / (hi[d] - lo[d]) : 0.0;
     }
     auto distance = [&](std::size_t a, std::size_t b) {
-      const auto row_a = prediction.features.row(a);
-      const auto row_b = prediction.features.row(b);
+      const auto row_a = features.row(a);
+      const auto row_b = features.row(b);
       double sq = 0.0;
       for (std::size_t d = 0; d < dims; ++d) {
         const double diff = (row_a[d] - row_b[d]) * inv_range[d];

@@ -36,6 +36,9 @@ void DecisionTree::fit(const Dataset& data, std::vector<std::size_t> indices,
   const bool columns_live = indices.size() >= SplitWorkspace::kColumnCutoff;
   build(data, 0, indices.size(), 0, config, rng, workspace, feature_scratch,
         columns_live);
+  // The reserve above is an upper bound; a tree usually holds far fewer
+  // nodes, and a session keeps its forest for a whole refit interval.
+  nodes_.shrink_to_fit();
 }
 
 std::int32_t DecisionTree::build(const Dataset& data, std::size_t lo,

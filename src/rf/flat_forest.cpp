@@ -40,15 +40,83 @@ inline std::uint32_t count_below(const double* cb, std::uint32_t size,
   return cur;
 }
 
+/// Home slot of a (tag, 64-bit key) pair in a table of 2^(64 - shift)
+/// slots. The thresholds of discrete parameters carry their entropy in the
+/// top bits (sign, exponent, leading mantissa), so the high half is folded
+/// onto the low half before the multiplicative hash.
+inline std::size_t key_slot(std::uint64_t bits, std::uint32_t tag,
+                            int shift) {
+  std::uint64_t x = bits ^ tag;
+  x ^= x >> 32;
+  return static_cast<std::size_t>((x * std::uint64_t{0x9E3779B97F4A7C15}) >>
+                                  shift);
+}
+
+/// Open-addressed map from a split's (feature, threshold bits) — or a
+/// categorical mask — to its 16-bit code, filled once the codebooks are
+/// sorted, so compiling a split is one hash probe instead of a codebook
+/// search. At most half full.
+class CodeTable {
+ public:
+  /// Key tag of categorical masks (above every feature index).
+  static constexpr std::uint32_t kMaskTag = RankNode::kCategorical;
+
+  explicit CodeTable(std::size_t entries)
+      : slots_(std::bit_ceil(2 * entries + 2)),
+        shift_(static_cast<int>(64 - std::bit_width(slots_.size() - 1))) {}
+
+  /// Both zeros share one codebook entry (they compare equal), so they
+  /// share one key.
+  static std::uint64_t threshold_key(double threshold) {
+    return std::bit_cast<std::uint64_t>(threshold == 0.0 ? 0.0 : threshold);
+  }
+
+  void insert(std::uint32_t tag, std::uint64_t bits, std::uint32_t code) {
+    Slot* slot = probe(tag, bits);
+    *slot = {bits, tag, code};
+  }
+
+  /// Code of a key inserted earlier.
+  std::uint32_t find(std::uint32_t tag, std::uint64_t bits) {
+    const Slot* slot = probe(tag, bits);
+    PWU_ASSERT(slot->tag == tag, "FlatForest::build: split missing from its "
+                                 "codebook or mask table");
+    return slot->code;
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = 0xFFFFFFFF;
+  struct Slot {
+    std::uint64_t bits = 0;
+    std::uint32_t tag = kEmpty;
+    std::uint32_t code = 0;
+  };
+
+  /// The key's slot, or the empty slot that ends its probe sequence.
+  Slot* probe(std::uint32_t tag, std::uint64_t bits) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = key_slot(bits, tag, shift_);
+    while (slots_[i].tag != kEmpty &&
+           (slots_[i].tag != tag || slots_[i].bits != bits)) {
+      i = (i + 1) & mask;
+    }
+    return &slots_[i];
+  }
+
+  std::vector<Slot> slots_;
+  int shift_;
+};
+
 }  // namespace
 
 bool FlatForest::build(std::span<const DecisionTree> trees) {
   clear();
-  // Pass 1: per-feature threshold codebooks (sorted distinct doubles) and
-  // the categorical-mask table. Tuning parameters have few levels, so most
-  // thresholds repeat across the forest; a small direct-mapped filter drops
-  // repeats before the sort. It is only a filter: sort + unique below still
-  // remove whatever slips past it.
+  // Pass 1: per-feature threshold codebooks (sorted distinct doubles), the
+  // categorical-mask table, and each feature's split kind. Tuning
+  // parameters have few levels, so most thresholds repeat across the
+  // forest; a small direct-mapped filter drops repeats before the sort. It
+  // is only a filter: sort + unique below still remove whatever slips past
+  // it.
   struct Seen {
     std::uint64_t bits = 0;
     int feature = -1;
@@ -70,18 +138,28 @@ bool FlatForest::build(std::span<const DecisionTree> trees) {
         clear();
         return false;
       }
+      const auto feature = static_cast<std::size_t>(split.feature);
+      if (codebooks.size() <= feature) {
+        codebooks.resize(feature + 1);
+        feature_categorical_.resize(feature + 1, 0);
+      }
+      // A feature's one rank slot holds a codebook rank or a level, so it
+      // must be split one way.
+      if (split.categorical ? !codebooks[feature].empty()
+                            : feature_categorical_[feature] != 0) {
+        clear();
+        return false;
+      }
       if (split.categorical) {
+        feature_categorical_[feature] = 1;
         cat_masks_.push_back(split.left_mask);
         continue;
       }
       const auto bits = std::bit_cast<std::uint64_t>(split.threshold);
-      Seen& slot = seen[((bits ^ static_cast<std::uint64_t>(split.feature)) *
-                         std::uint64_t{0x9E3779B97F4A7C15}) >>
-                        54];
+      Seen& slot =
+          seen[key_slot(bits, static_cast<std::uint32_t>(split.feature), 54)];
       if (slot.bits == bits && slot.feature == split.feature) continue;
       slot = {bits, split.feature};
-      const auto feature = static_cast<std::size_t>(split.feature);
-      if (codebooks.size() <= feature) codebooks.resize(feature + 1);
       codebooks[feature].push_back(split.threshold);
     }
   }
@@ -101,6 +179,16 @@ bool FlatForest::build(std::span<const DecisionTree> trees) {
       cat_masks_.size() > kCodeCapacity) {
     clear();
     return false;
+  }
+  CodeTable codes(thresholds_.size() + cat_masks_.size());
+  for (std::size_t f = 0; f + 1 < feature_base_.size(); ++f) {
+    for (std::uint32_t c = feature_base_[f]; c < feature_base_[f + 1]; ++c) {
+      codes.insert(static_cast<std::uint32_t>(f),
+                   CodeTable::threshold_key(thresholds_[c]), c);
+    }
+  }
+  for (std::uint32_t c = 0; c < cat_masks_.size(); ++c) {
+    codes.insert(CodeTable::kMaskTag, cat_masks_[c], c);
   }
 
   // Pass 2: emit every tree's nodes in breadth-first order. A node's flat
@@ -129,19 +217,11 @@ bool FlatForest::build(std::span<const DecisionTree> trees) {
           node.feature =
               static_cast<std::uint16_t>(feature | RankNode::kCategorical);
           node.code = static_cast<std::uint16_t>(
-              std::lower_bound(cat_masks_.begin(), cat_masks_.end(),
-                               src.split.left_mask) -
-              cat_masks_.begin());
+              codes.find(CodeTable::kMaskTag, src.split.left_mask));
         } else {
-          const std::uint32_t first = feature_base_[feature];
-          const std::uint32_t code =
-              first + count_below(thresholds_.data() + first,
-                                  feature_base_[feature + 1] - first,
-                                  src.split.threshold);
-          PWU_ASSERT(thresholds_[code] == src.split.threshold,
-                     "FlatForest::build: threshold missing from codebook");
           node.feature = feature;
-          node.code = static_cast<std::uint16_t>(code);
+          node.code = static_cast<std::uint16_t>(
+              codes.find(feature, CodeTable::threshold_key(src.split.threshold)));
         }
         node.left = static_cast<std::int32_t>(bfs.size());
         bfs.push_back(src.left);
@@ -157,7 +237,6 @@ bool FlatForest::build(std::span<const DecisionTree> trees) {
                                                  << " nodes");
     tree_offsets_.push_back(static_cast<std::uint32_t>(base));
     tree_categorical_.push_back(categorical ? 1 : 0);
-    any_numerical_tree_ = any_numerical_tree_ || !categorical;
   }
   tree_offsets_.push_back(static_cast<std::uint32_t>(nodes_.size()));
   PWU_ENSURE(nodes_.size() == total,
@@ -166,30 +245,6 @@ bool FlatForest::build(std::span<const DecisionTree> trees) {
 }
 
 void FlatForest::clear() { *this = FlatForest(); }
-
-double FlatForest::walk(std::size_t t, const double* row) const {
-  // Routing replicates Split::goes_left exactly: numerical go left iff
-  // value <= threshold (the codebook holds the original split doubles),
-  // categorical go left iff the level's mask bit is set (levels >= 64 go
-  // right).
-  const RankNode* nodes = nodes_.data() + tree_offsets_[t];
-  std::uint32_t i = 0;
-  for (;;) {
-    const RankNode node = nodes[i];
-    if (node.is_leaf()) {
-      return leaf_values_[static_cast<std::size_t>(node.left)];
-    }
-    const double v = row[node.feature & RankNode::kFeatureMask];
-    bool left;
-    if ((node.feature & RankNode::kCategorical) != 0) {
-      const auto level = static_cast<std::uint64_t>(std::llround(v));
-      left = level < 64 && ((cat_masks_[node.code] >> level) & 1ULL);
-    } else {
-      left = v <= thresholds_[node.code];
-    }
-    i = static_cast<std::uint32_t>(node.left) + (left ? 0u : 1u);
-  }
-}
 
 void FlatForest::predict_per_tree(std::span<const double> row,
                                   std::span<double> out) const {
@@ -200,13 +255,20 @@ void FlatForest::predict_per_tree(std::span<const double> row,
   if (out.size() != num) {
     throw std::invalid_argument("FlatForest::predict_per_tree: size mismatch");
   }
-  for (std::size_t t = 0; t < num; ++t) out[t] = walk(t, row.data());
+  PWU_REQUIRE(num_slots() <= row.size(),
+              "FlatForest::predict_per_tree: row of " << row.size()
+                                                      << " features for "
+                                                      << num_slots()
+                                                      << " rank slots");
+  thread_local std::vector<std::int32_t> ranks;
+  compute_ranks(row.data(), row.size(), 1, ranks);
+  walk_trees(simd::Level::Scalar, ranks.data(), 1, out.data());
 }
 
 void FlatForest::compute_ranks(const double* rows, std::size_t stride,
                                std::size_t n,
                                std::vector<std::int32_t>& ranks) const {
-  const std::size_t nf = feature_base_.size() - 1;
+  const std::size_t nf = num_slots();
   ranks.resize(n * nf);
   const double* tab = thresholds_.data();
   // Feature-major so each codebook stays cache-hot across the whole block.
@@ -218,10 +280,17 @@ void FlatForest::compute_ranks(const double* rows, std::size_t stride,
   // against everything, so the search leaves it at 0; pick the past-the-end
   // rank explicitly so NaN always routes right.
   for (std::size_t f = 0; f < nf; ++f) {
+    std::int32_t* dst = ranks.data() + f;
+    if (feature_categorical_[f] != 0) {
+      for (std::size_t r = 0; r < n; ++r) {
+        dst[r * nf] =
+            static_cast<std::int32_t>(Split::level_of(rows[r * stride + f]));
+      }
+      continue;
+    }
     const double* cb = tab + feature_base_[f];
     const std::uint32_t size = feature_base_[f + 1] - feature_base_[f];
     const auto fb = static_cast<std::int32_t>(feature_base_[f]);
-    std::int32_t* dst = ranks.data() + f;
     const auto emit = [&](std::size_t r, double v, std::uint32_t cur) {
       dst[r * nf] = std::isnan(v) ? fb + static_cast<std::int32_t>(size)
                                   : fb + static_cast<std::int32_t>(cur);
@@ -246,6 +315,20 @@ void FlatForest::compute_ranks(const double* rows, std::size_t stride,
   }
 }
 
+void FlatForest::walk_trees(simd::Level level, const std::int32_t* ranks,
+                            std::size_t n, double* out) const {
+  // Trees without a categorical split walk the variant that skips the
+  // node-kind test.
+  const simd::TreeKernel kernels[2] = {simd::tree_kernel(level, false),
+                                       simd::tree_kernel(level, true)};
+  const std::size_t nf = num_slots();
+  for (std::size_t t = 0; t < num_trees(); ++t) {
+    kernels[tree_categorical_[t]](nodes_.data() + tree_offsets_[t], ranks,
+                                  nf, cat_masks_.data(), leaf_values_.data(),
+                                  n, out + t * n);
+  }
+}
+
 void FlatForest::predict_block(const double* rows, std::size_t stride,
                                std::size_t n, std::span<double> out) const {
   const std::size_t num = num_trees();
@@ -255,26 +338,17 @@ void FlatForest::predict_block(const double* rows, std::size_t stride,
   if (out.size() != num * n) {
     throw std::invalid_argument("FlatForest::predict_block: size mismatch");
   }
-  const std::size_t nf = feature_base_.size() - 1;
+  const std::size_t nf = num_slots();
   PWU_REQUIRE(n <= kRowBlock && nf <= stride,
               "FlatForest::predict_block: " << n << " rows of stride "
                                             << stride << " for " << nf
-                                            << " codebook features");
-  // One rank precompute per block, amortized across every numerical tree:
+                                            << " rank slots");
+  // One rank precompute per block, amortized across every tree:
   // O(rows x features x log codebook) searches buy O(trees x depth)
   // integer-only walk steps.
   thread_local std::vector<std::int32_t> ranks;
-  if (any_numerical_tree_ && nf > 0) compute_ranks(rows, stride, n, ranks);
-  const simd::TreeKernel kernel = simd::tree_kernel(simd::active_level());
-  for (std::size_t t = 0; t < num; ++t) {
-    double* dst = out.data() + t * n;
-    if (tree_categorical_[t] != 0) {
-      for (std::size_t r = 0; r < n; ++r) dst[r] = walk(t, rows + r * stride);
-    } else {
-      kernel(nodes_.data() + tree_offsets_[t], ranks.data(), nf,
-             leaf_values_.data(), n, dst);
-    }
-  }
+  compute_ranks(rows, stride, n, ranks);
+  walk_trees(simd::active_level(), ranks.data(), n, out.data());
 }
 
 }  // namespace pwu::rf

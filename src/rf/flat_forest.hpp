@@ -11,22 +11,32 @@
 //     same 16-bit code field;
 //   - a leaf stores an index into the leaf-value table.
 //
-// Because each codebook is sorted, `value <= thresholds[code]` is exactly
-// `code >= rank`, where rank is the code of the first codebook entry >=
-// value (one past the feature's codebook for NaN, which must route right,
-// as Split::goes_left does). predict_block() computes that rank once per
-// (row, feature) for a block of rows, and every numerical-only tree then
-// walks the block on 32-bit integer compares through the dispatched kernel
-// (rf/simd_eval.hpp). Trees with a categorical split take the scalar walk,
-// which compares the row's doubles against the codebook entries.
+// Every row is walked on its rank slots, one 32-bit int per feature:
+//
+//   - numerical feature: the code of the first codebook entry >= the
+//     row's value (one past the feature's codebook for NaN, which must
+//     route right, as Split::goes_left does). Because each codebook is
+//     sorted, `value <= thresholds[code]` is exactly `code >= rank`;
+//   - categorical feature: the level Split::goes_left tests,
+//     Split::level_of(value) in [0, 64], where 64 (no level) routes right.
+//     A split goes left iff its mask has that level's bit.
+//
+// predict_block() computes a block's rank slots once per (row, feature),
+// and every tree then walks the block on integer compares and mask-bit
+// tests through the dispatched kernel (rf/simd_eval.hpp); a single row
+// takes the same walk through the scalar tier.
 //
 // Exactness: codes index the original split doubles (a rank coding, not a
-// snapping), and leaves index the original leaf doubles, so every row
-// reaches the same leaf as DecisionTree::predict and reads the same value.
+// snapping), categorical slots are the level goes_left computes, and
+// leaves index the original leaf doubles, so every row reaches the same
+// leaf as DecisionTree::predict and reads the same value.
 //
-// Capacity: feature indices and codes are 16-bit. build() returns false,
-// leaving the forest empty, when the trees hold more than 65536 distinct
-// thresholds or masks, a feature index >= 0x7FFF, or a NaN threshold.
+// Capacity: feature indices and codes are 16-bit, and each feature has one
+// rank slot, so it must be split one way. build() returns false, leaving
+// the forest empty, when the trees hold more than 65536 distinct
+// thresholds or masks, a feature index >= 0x7FFF, a NaN threshold, or a
+// feature with both numerical and categorical splits (only a hand-written
+// forest file can; the fitter splits each feature by its declared kind).
 // RandomForest then predicts through the trees' own walk.
 
 #pragma once
@@ -36,6 +46,7 @@
 #include <vector>
 
 #include "rf/decision_tree.hpp"
+#include "rf/simd_eval.hpp"
 
 namespace pwu::rf {
 
@@ -57,13 +68,31 @@ struct RankNode {
   static constexpr std::uint16_t kFeatureMask = 0x7FFF;
 
   bool is_leaf() const { return feature == kLeaf; }
+
+  /// Routing of a split node on one row's rank slots (`slots`): numerical
+  /// left iff code >= rank; categorical left iff cat_masks[code] has the
+  /// slot's level bit (level 64, no level, goes right). kMixed = false
+  /// serves trees without categorical splits and skips the kind test.
+  template <bool kMixed>
+  bool goes_left(const std::int32_t* slots,
+                 const std::uint64_t* cat_masks) const {
+    if constexpr (kMixed) {
+      if ((feature & kCategorical) != 0) {
+        const std::int32_t level = slots[feature & kFeatureMask];
+        return level < static_cast<std::int32_t>(Split::kNoLevel) &&
+               ((cat_masks[code] >> level) & 1ULL) != 0;
+      }
+    }
+    return static_cast<std::int32_t>(code) >= slots[feature];
+  }
 };
 static_assert(sizeof(RankNode) == 8, "RankNode must stay 8 bytes");
 
 class FlatForest {
  public:
   /// Compiles the fitted trees (replacing any previous contents). Returns
-  /// false, leaving the forest empty, when they exceed the 16-bit capacity.
+  /// false, leaving the forest empty, when they exceed the 16-bit capacity
+  /// or split a feature both numerically and categorically.
   bool build(std::span<const DecisionTree> trees);
   /// Empties the forest and releases its memory.
   void clear();
@@ -91,6 +120,7 @@ class FlatForest {
            tree_offsets_.capacity() * sizeof(std::uint32_t) +
            thresholds_.capacity() * sizeof(double) +
            feature_base_.capacity() * sizeof(std::uint32_t) +
+           feature_categorical_.capacity() * sizeof(std::uint8_t) +
            cat_masks_.capacity() * sizeof(std::uint64_t) +
            leaf_values_.capacity() * sizeof(double) +
            tree_categorical_.capacity() * sizeof(std::uint8_t);
@@ -104,15 +134,18 @@ class FlatForest {
   static constexpr std::size_t kRowBlock = 256;
 
  private:
-  /// Leaf value of tree t for one row, over the row's doubles — the walk
-  /// for single rows and for trees with categorical splits.
-  double walk(std::size_t t, const double* row) const;
+  /// Number of rank slots: one per feature up to the highest split feature.
+  std::size_t num_slots() const { return feature_categorical_.size(); }
 
-  /// Fills `ranks` (row-major, one int per codebook feature) with the code
-  /// of the first threshold >= the row's value per (row, feature) — the
-  /// feature's past-the-end code for NaN.
+  /// Fills `ranks` (row-major, num_slots() ints per row) with each row's
+  /// rank slots (see the file comment).
   void compute_ranks(const double* rows, std::size_t stride, std::size_t n,
                      std::vector<std::int32_t>& ranks) const;
+
+  /// Runs every tree over `n` rows' rank slots through `level`'s kernels,
+  /// tree-major into out (as predict_block).
+  void walk_trees(simd::Level level, const std::int32_t* ranks,
+                  std::size_t n, double* out) const;
 
   std::vector<RankNode> nodes_;
   /// Tree t owns nodes_[tree_offsets_[t], tree_offsets_[t + 1]).
@@ -120,14 +153,16 @@ class FlatForest {
   /// Per-feature sorted threshold codebooks, concatenated.
   std::vector<double> thresholds_;
   /// Feature f's codebook is thresholds_[feature_base_[f],
-  /// feature_base_[f + 1]) (size: codebook features + 1).
+  /// feature_base_[f + 1]) (size: num_slots() + 1; empty for a
+  /// categorical feature).
   std::vector<std::uint32_t> feature_base_;
+  /// 1 where feature f is split categorically (size: num_slots()).
+  std::vector<std::uint8_t> feature_categorical_;
   std::vector<std::uint64_t> cat_masks_;
   std::vector<double> leaf_values_;
-  /// Trees containing categorical splits take the scalar walk in
-  /// predict_block; the SIMD kernels only see numerical-only trees.
+  /// 1 for trees with a categorical split: they walk the kernel variant
+  /// that tests each node's kind; numerical-only trees skip that test.
   std::vector<std::uint8_t> tree_categorical_;
-  bool any_numerical_tree_ = false;
 };
 
 }  // namespace pwu::rf

@@ -8,10 +8,11 @@
 //
 // After fit/load the ensemble is compiled into a FlatForest — 8-byte
 // rank-coded nodes in one breadth-first array — and every prediction entry
-// point walks it: single rows through its scalar walk, row blocks (pool
-// scoring, permutation importance, the OOB pass) through its block
-// evaluator. A forest past the compiled layout's 16-bit capacity keeps
-// predicting, bit-identically, through the trees' own walk. The original
+// point walks it: single rows through its scalar kernel tier, row blocks
+// (pool scoring, permutation importance, the OOB pass) through its block
+// evaluator. A forest the compiled layout cannot hold (past its 16-bit
+// capacity, or with a feature split both ways) keeps predicting,
+// bit-identically, through the trees' own walk. The original
 // node tables are kept for serialization and structural queries;
 // predict_stats_reference() walks them directly and exists to pin the
 // compiled engine's bit-exactness in tests.

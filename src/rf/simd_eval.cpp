@@ -24,9 +24,10 @@ constexpr std::size_t kScalarGroup = 8;
 
 // ---- scalar tier -----------------------------------------------------------
 
+template <bool kMixed>
 void tree_scalar(const RankNode* nodes, const std::int32_t* ranks,
-                 std::size_t rank_stride, const double* leaf_values,
-                 std::size_t n, double* out) {
+                 std::size_t rank_stride, const std::uint64_t* cat_masks,
+                 const double* leaf_values, std::size_t n, double* out) {
   for (std::size_t r = 0; r < n; r += kScalarGroup) {
     const std::size_t g = std::min(kScalarGroup, n - r);
     const std::int32_t* rbase = ranks + r * rank_stride;
@@ -37,9 +38,10 @@ void tree_scalar(const RankNode* nodes, const std::int32_t* ranks,
         const RankNode node = nodes[cur[j]];
         if (node.is_leaf()) continue;
         active = true;
-        const std::int32_t rank = rbase[j * rank_stride + node.feature];
         cur[j] = static_cast<std::uint32_t>(node.left) +
-                 (static_cast<std::int32_t>(node.code) >= rank ? 0u : 1u);
+                 (node.goes_left<kMixed>(rbase + j * rank_stride, cat_masks)
+                      ? 0u
+                      : 1u);
       }
       if (!active) break;
     }
@@ -121,13 +123,14 @@ void clear_level_override() {
   g_override.store(-1, std::memory_order_relaxed);
 }
 
-TreeKernel tree_kernel(Level level) {
+TreeKernel tree_kernel(Level level, bool mixed) {
   level = min_level(level, detected_level());
   switch (level) {
 #ifdef PWU_SIMD_HAS_AVX2
-    case Level::Avx2: return detail::tree_avx2;
+    case Level::Avx2:
+      return mixed ? detail::tree_avx2<true> : detail::tree_avx2<false>;
 #endif
-    default: return tree_scalar;
+    default: return mixed ? tree_scalar<true> : tree_scalar<false>;
   }
 }
 

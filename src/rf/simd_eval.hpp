@@ -4,17 +4,19 @@
 // engine (enforced by the pwu_lint rule `no-unchecked-simd`): callers pick
 // a kernel through tree_kernel() and never touch <immintrin.h> themselves.
 // The kernels walk FlatForest's 8-byte rank-coded nodes (rf/flat_forest.hpp)
-// on a block's precomputed threshold ranks. Two tiers exist:
+// on a block's precomputed rank slots. Two tiers exist:
 //
 //   Scalar  portable reference — an 8-row interleaved lockstep walk over a
 //           contiguous row block;
 //   AVX2    64 rows per tree level as eight 8-lane epi32 groups.
 //
-// Both tiers route rows identically (`code >= rank`, which the rank coding
-// makes exactly `value <= threshold`, NaN to the right) and emit the same
-// leaf doubles, so the dispatch level never changes a prediction bit.
-// Kernels handle numerical splits only: trees containing categorical
-// splits take FlatForest's scalar set-membership walk regardless of level.
+// Both tiers route rows identically — a numerical split on `code >= rank`,
+// which the rank coding makes exactly `value <= threshold` (NaN to the
+// right), a categorical split on its mask's bit for the slot's level
+// (level 64, no level, to the right) — and emit the same leaf doubles, so
+// the dispatch level never changes a prediction bit. Each tier has two
+// variants: one for trees with a categorical split, which tests every
+// node's kind, and one for numerical-only trees, which skips that test.
 //
 // Selection: AVX2 wins when it is compiled in (PWU_SIMD CMake option,
 // auto|off) and supported by the running CPU; the PWU_SIMD_LEVEL
@@ -51,20 +53,26 @@ Level active_level();
 void set_level_override(Level level);
 void clear_level_override();
 
-/// Evaluates one tree (numerical splits only) over `n` consecutive rows,
-/// driven by the block's precomputed rank matrix instead of raw feature
-/// doubles: row r's ranks live at ranks + r * rank_stride, and ranks[r][f]
-/// is the first code in feature f's codebook whose threshold is >= the
-/// row's value (the feature's past-the-end code for NaN). A split routes
-/// left iff `node.code >= rank` — exactly `value <= thresholds[code]` — so
-/// the whole walk is 32-bit integer compares against a block-resident
-/// table. out[r] receives leaf_values[leaf.left] of the leaf row r reaches.
+/// Evaluates one tree over `n` consecutive rows, driven by the block's
+/// precomputed rank slots instead of raw feature doubles: row r's slots
+/// live at ranks + r * rank_stride. For a numerical feature f, ranks[r][f]
+/// is the first code in f's codebook whose threshold is >= the row's value
+/// (the feature's past-the-end code for NaN), and a split routes left iff
+/// `node.code >= rank` — exactly `value <= thresholds[code]`. For a
+/// categorical feature it is the row's level (Split::level_of, 64 for
+/// none), and a split routes left iff bit `level` of cat_masks[node.code]
+/// is set. The whole walk is 32-bit integer work against block-resident
+/// tables. out[r] receives leaf_values[leaf.left] of the leaf row r
+/// reaches.
 using TreeKernel = void (*)(const RankNode* nodes, const std::int32_t* ranks,
-                            std::size_t rank_stride, const double* leaf_values,
-                            std::size_t n, double* out);
+                            std::size_t rank_stride,
+                            const std::uint64_t* cat_masks,
+                            const double* leaf_values, std::size_t n,
+                            double* out);
 
-/// Kernel for `level`, clamped to detected_level().
-TreeKernel tree_kernel(Level level);
+/// Kernel for `level`, clamped to detected_level(): the variant for trees
+/// with a categorical split when `mixed`, else the numerical-only one.
+TreeKernel tree_kernel(Level level, bool mixed);
 
 /// Parses "scalar"/"avx2" (nullopt otherwise).
 std::optional<Level> parse_level(const char* name);
@@ -81,9 +89,10 @@ namespace detail {
 /// AVX2 tier, defined in simd_eval_avx2.cpp — the one TU built with
 /// -mavx2. Only referenced by dispatch when PWU_SIMD_HAS_AVX2 is set;
 /// never call directly (the running CPU may not support AVX2).
+template <bool kMixed>
 void tree_avx2(const RankNode* nodes, const std::int32_t* ranks,
-               std::size_t rank_stride, const double* leaf_values,
-               std::size_t n, double* out);
+               std::size_t rank_stride, const std::uint64_t* cat_masks,
+               const double* leaf_values, std::size_t n, double* out);
 
 }  // namespace detail
 

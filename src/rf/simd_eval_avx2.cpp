@@ -5,19 +5,27 @@
 // (its static initializer would execute AVX instructions unconditionally).
 //
 // Shape: the rank precompute (see TreeKernel) has already collapsed every
-// threshold compare into `code >= rank`, so the walk is pure 32-bit integer
-// work: 64 rows per tree level as eight independent 8-lane epi32 groups,
-// three int gathers per level and group (node lo word, node left word, and
-// the rank from a block-resident L1-sized table); doubles are gathered
-// only from the leaf table, once every lane has reached a leaf. Each
-// level's gathers depend on the previous level's outcome, so a single
-// chain is pure gather latency; eight chains keep enough line fills in
-// flight to cover it.
+// threshold compare into `code >= rank` and every categorical value into a
+// level, so the walk is pure 32-bit integer work: 64 rows per tree level
+// as eight independent 8-lane epi32 groups, three int gathers per level
+// and group (node lo word, node left word, and the rank from a
+// block-resident L1-sized table); doubles are gathered only from the leaf
+// table, once every lane has reached a leaf. Each level's gathers depend
+// on the previous level's outcome, so a single chain is pure gather
+// latency; eight chains keep enough line fills in flight to cover it.
 //
-// The blend mask must be the full-lane is-leaf compare, never the feature
-// word itself: _mm256_blendv_epi8 selects per *byte*, and a node word with
-// a high bit set in some byte (e.g. feature 0x80) would otherwise splice
-// indices from both operands.
+// Trees with a categorical split (kMixed) add one masked gather per level
+// and group: lanes on a categorical node whose level is < 64 load 32-bit
+// word `2 * code + (level >> 5)` of the mask table (the mask's low or high
+// half), shift it right by `level & 31`, and go right iff the low bit is
+// clear. Lanes with level 64 load nothing and read 0, so they go right,
+// as Split::goes_left sends them. The leaf sentinel 0xFFFF carries the
+// categorical bit too, so leaf lanes are masked out of that test.
+//
+// Every blend mask must be a full-lane compare, never a node word itself:
+// _mm256_blendv_epi8 selects per *byte*, and a node word with a high bit
+// set in some byte (e.g. feature 0x80) would otherwise splice indices from
+// both operands.
 
 #include "rf/simd_eval.hpp"
 
@@ -43,46 +51,70 @@ namespace {
 
 /// Scalar walk for the < 64 leftover rows of a block (row-independent, so
 /// the grouping change cannot alter any output bit).
+template <bool kMixed>
 inline double tail_one(const RankNode* nodes, const std::int32_t* rrow,
+                       const std::uint64_t* cat_masks,
                        const double* leaf_values) {
   std::uint32_t i = 0;
   for (;;) {
     const RankNode node = nodes[i];
     if (node.is_leaf()) return leaf_values[node.left];
     i = static_cast<std::uint32_t>(node.left) +
-        (static_cast<std::int32_t>(node.code) >= rrow[node.feature] ? 0u : 1u);
+        (node.goes_left<kMixed>(rrow, cat_masks) ? 0u : 1u);
   }
 }
 
 }  // namespace
 
+template <bool kMixed>
 void tree_avx2(const RankNode* nodes, const std::int32_t* ranks,
-               std::size_t rank_stride, const double* leaf_values,
-               std::size_t n, double* out) {
+               std::size_t rank_stride, const std::uint64_t* cat_masks,
+               const double* leaf_values, std::size_t n, double* out) {
   const __m256i one = _mm256_set1_epi32(1);
   const __m256i zero = _mm256_setzero_si256();
   const __m256i all_ones = _mm256_set1_epi32(-1);
   const __m256i leaf_sentinel =
       _mm256_set1_epi32(static_cast<int>(RankNode::kLeaf));
   const __m256i low16 = _mm256_set1_epi32(0xFFFF);
+  const __m256i feature_bits =
+      _mm256_set1_epi32(kMixed ? RankNode::kFeatureMask : 0xFFFF);
+  const __m256i cat_bit = _mm256_set1_epi32(RankNode::kCategorical);
+  const __m256i no_level =
+      _mm256_set1_epi32(static_cast<int>(Split::kNoLevel));
+  const __m256i low5 = _mm256_set1_epi32(31);
   const int rs = static_cast<int>(rank_stride);
   const __m256i row_off =
       _mm256_setr_epi32(0, rs, 2 * rs, 3 * rs, 4 * rs, 5 * rs, 6 * rs, 7 * rs);
   const auto* node_base = reinterpret_cast<const int*>(nodes);
+  const auto* mask_words = reinterpret_cast<const int*>(cat_masks);
 
   // One tree level for one 8-lane group: `lo` ({feature | code << 16}) and
   // `left` were already gathered by the caller. The rank gather is masked
-  // so leaf lanes (feat = 0xFFFF, an out-of-table offset) touch no memory.
+  // so leaf lanes (the sentinel's out-of-table feature) touch no memory.
   const auto step = [&](__m256i cur, __m256i lo, __m256i left,
                         __m256i is_leaf, const std::int32_t* rbase) {
-    const __m256i feat = _mm256_and_si256(lo, low16);
+    const __m256i feat = _mm256_and_si256(lo, feature_bits);
     const __m256i code = _mm256_srli_epi32(lo, 16);
     const __m256i not_leaf = _mm256_xor_si256(is_leaf, all_ones);
     const __m256i offs = _mm256_add_epi32(row_off, feat);
     const __m256i rank =
         _mm256_mask_i32gather_epi32(zero, rbase, offs, not_leaf, 4);
     // Right iff rank > code (i.e. !(code >= rank)); both fit int32.
-    const __m256i go_right = _mm256_cmpgt_epi32(rank, code);
+    __m256i go_right = _mm256_cmpgt_epi32(rank, code);
+    if constexpr (kMixed) {
+      const __m256i is_cat = _mm256_andnot_si256(
+          is_leaf, _mm256_cmpeq_epi32(_mm256_and_si256(lo, cat_bit), cat_bit));
+      const __m256i has_level =
+          _mm256_and_si256(is_cat, _mm256_cmpgt_epi32(no_level, rank));
+      const __m256i word_idx = _mm256_add_epi32(_mm256_slli_epi32(code, 1),
+                                                _mm256_srli_epi32(rank, 5));
+      const __m256i word = _mm256_mask_i32gather_epi32(zero, mask_words,
+                                                       word_idx, has_level, 4);
+      const __m256i bit = _mm256_and_si256(
+          _mm256_srlv_epi32(word, _mm256_and_si256(rank, low5)), one);
+      go_right =
+          _mm256_blendv_epi8(go_right, _mm256_cmpeq_epi32(bit, zero), is_cat);
+    }
     const __m256i next =
         _mm256_add_epi32(left, _mm256_and_si256(go_right, one));
     return _mm256_blendv_epi8(next, cur, is_leaf);
@@ -134,9 +166,17 @@ void tree_avx2(const RankNode* nodes, const std::int32_t* ranks,
     }
   }
   for (; r < n; ++r) {
-    out[r] = tail_one(nodes, ranks + r * rank_stride, leaf_values);
+    out[r] = tail_one<kMixed>(nodes, ranks + r * rank_stride, cat_masks,
+                              leaf_values);
   }
 }
+
+template void tree_avx2<false>(const RankNode*, const std::int32_t*,
+                               std::size_t, const std::uint64_t*,
+                               const double*, std::size_t, double*);
+template void tree_avx2<true>(const RankNode*, const std::int32_t*,
+                              std::size_t, const std::uint64_t*,
+                              const double*, std::size_t, double*);
 
 }  // namespace pwu::rf::simd::detail
 

@@ -8,9 +8,8 @@ namespace pwu::rf {
 
 bool Split::goes_left(double value) const {
   if (categorical) {
-    const auto level = static_cast<std::uint64_t>(std::llround(value));
-    if (level >= 64) return false;
-    return (left_mask >> level) & 1ULL;
+    const std::uint32_t level = level_of(value);
+    return level < kNoLevel && ((left_mask >> level) & 1ULL) != 0;
   }
   return value <= threshold;
 }

@@ -24,6 +24,7 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -40,10 +41,22 @@ struct Split {
   std::uint64_t left_mask = 0;  // categorical: go left iff bit(level) set
   double gain = 0.0;            // decrease in total squared error
 
+  /// Levels a categorical mask can hold; level_of returns this for a value
+  /// that names none of them.
+  static constexpr std::uint32_t kNoLevel = 64;
+
   bool valid() const { return feature >= 0; }
 
   /// Routing decision for a feature value of this split's feature.
   bool goes_left(double value) const;
+
+  /// The level a categorical split tests for `value`: llround(value) when
+  /// it lies in [0, 64), else kNoLevel (NaN, negative and >= 64 values),
+  /// which no mask holds, so it routes right.
+  static std::uint32_t level_of(double value) {
+    const auto level = static_cast<std::uint64_t>(std::llround(value));
+    return level < kNoLevel ? static_cast<std::uint32_t>(level) : kNoLevel;
+  }
 
   bool operator==(const Split& other) const = default;
 };

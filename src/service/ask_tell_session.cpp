@@ -212,7 +212,7 @@ std::vector<Candidate> AskTellSession::finish_ask(
     prediction.mean[i] = stats[i].mean;
     prediction.stddev[i] = stats[i].stddev;
   }
-  prediction.features = pool_features_;
+  prediction.features = &pool_features_;
 
   std::vector<std::size_t> selected =
       strategy_->select(prediction, plan.batch, rng_);
@@ -272,7 +272,7 @@ std::vector<Candidate> AskTellSession::ask_degraded(
       prediction.mean[i] = stats[i].mean;
       prediction.stddev[i] = stats[i].stddev;
     }
-    prediction.features = pool_features_;
+    prediction.features = &pool_features_;
     selected = strategy_->select(prediction, batch, degraded_rng_);
     if (selected.empty()) {
       throw std::logic_error("SamplingStrategy returned an empty batch");

@@ -316,12 +316,13 @@ AskOutcome SessionManager::ask_with_deadline(const std::string& name,
 }
 
 void SessionManager::schedule_refit(const std::shared_ptr<Entry>& entry) const {
-  // Caller holds entry->mutex. Snapshot the current model first: it is
-  // what deadline-expired asks score the pool with while the fresh fit
-  // runs, and shared ownership keeps it alive even after the fit swaps
-  // session->model().
-  entry->last_good = entry->session->model();  // pwu-lint: allow(no-unlocked-mutable)
+  // Caller holds entry->mutex.
   if (workers_ != nullptr && workers_->num_threads() > 1) {
+    // Snapshot the current model first: it is what deadline-expired asks
+    // score the pool with while the fresh fit runs or waits for a queue
+    // slot, and shared ownership keeps it alive even after the fit swaps
+    // session->model(). An inline fit (below) never leaves an ask waiting.
+    entry->last_good = entry->session->model();  // pwu-lint: allow(no-unlocked-mutable)
     if (limits_.max_refit_queue != 0 &&
         refits_in_flight_.load(std::memory_order_relaxed) >=
             limits_.max_refit_queue) {
@@ -370,6 +371,7 @@ bool SessionManager::settle_refit(const std::shared_ptr<Entry>& entry,
         if (deadline_ms >= 0) return false;
         entry->refit_deferred = false;  // pwu-lint: allow(no-unlocked-mutable)
         entry->session->refit();  // pwu-lint: allow(no-unlocked-mutable)
+        entry->last_good.reset();  // pwu-lint: allow(no-unlocked-mutable)
         return true;
       }
     }
@@ -399,6 +401,10 @@ bool SessionManager::settle_refit(const std::shared_ptr<Entry>& entry,
     entry->refit_cancel.reset();  // pwu-lint: allow(no-unlocked-mutable)
     try {
       settled.get();
+      // The snapshot only serves asks that arrive while a refit is in
+      // flight, and the next schedule_refit takes a fresh one: holding it
+      // past a settled fit would keep the previous forest alive.
+      entry->last_good.reset();  // pwu-lint: allow(no-unlocked-mutable)
       return true;
     } catch (const util::Cancelled&) {
       // The watchdog cancelled this fit. The session rolled its rng back,

@@ -17,14 +17,16 @@ PoolPrediction clustered_prediction() {
   // Candidates 0-2: one tight cluster of top-score near-duplicates.
   // Candidate 3: slightly lower score, far away.
   // Candidate 4: low score, far away.
+  static const rf::FeatureMatrix features =
+      rf::FeatureMatrix::from_rows({{0.0, 0.0},
+                                    {0.01, 0.0},
+                                    {0.0, 0.01},
+                                    {1.0, 1.0},
+                                    {0.0, 1.0}});
   PoolPrediction p;
   p.mean = {0.10, 0.10, 0.10, 0.12, 0.50};
   p.stddev = {0.20, 0.19, 0.18, 0.15, 0.05};
-  p.features = rf::FeatureMatrix::from_rows({{0.0, 0.0},
-                                             {0.01, 0.0},
-                                             {0.0, 0.01},
-                                             {1.0, 1.0},
-                                             {0.0, 1.0}});
+  p.features = &features;
   return p;
 }
 
@@ -44,10 +46,14 @@ TEST(DiversePwu, ZeroWeightMatchesPlainPwu) {
 
 TEST(DiversePwu, MissingFeaturesFallsBackToRanking) {
   PoolPrediction p = clustered_prediction();
-  p.features.clear();
-  util::Rng rng_a(3), rng_b(3);
-  EXPECT_EQ(make_diverse_pwu(0.05)->select(p, 3, rng_a),
-            make_pwu(0.05)->select(p, 3, rng_b));
+  const rf::FeatureMatrix empty;
+  for (const rf::FeatureMatrix* features :
+       {&empty, static_cast<const rf::FeatureMatrix*>(nullptr)}) {
+    p.features = features;
+    util::Rng rng_a(3), rng_b(3);
+    EXPECT_EQ(make_diverse_pwu(0.05)->select(p, 3, rng_a),
+              make_pwu(0.05)->select(p, 3, rng_b));
+  }
 }
 
 TEST(DiversePwu, BatchAvoidsNearDuplicates) {

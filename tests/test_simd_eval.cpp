@@ -278,23 +278,40 @@ TEST(SimdEval, ExtremeValueForestAgreesAtEveryTier) {
   }
 }
 
+/// `rows` rows cycling through `probes` (row r is probes[r % size]); 333
+/// rows make two row blocks, as in probe_rows.
+FeatureMatrix cycle_rows(const std::vector<std::vector<double>>& probes,
+                         std::size_t rows = 333) {
+  FeatureMatrix m = FeatureMatrix::with_capacity(probes.front().size(), rows);
+  for (std::size_t r = 0; r < rows; ++r) m.add_row(probes[r % probes.size()]);
+  return m;
+}
+
+HandNode cat_split(int feature, std::uint64_t mask, int left, int right) {
+  return {feature, true, 0.0, mask, 0.0, left, right};
+}
+
+Split categorical_split(int feature, std::uint64_t mask) {
+  Split split;
+  split.feature = feature;
+  split.categorical = true;
+  split.left_mask = mask;
+  return split;
+}
+
 TEST(SimdEval, NanRoutesLikeGoesLeftThroughCategoricalSplits) {
-  // Trees with a categorical split take the scalar set-membership walk at
-  // every tier; a NaN level must land where Split::goes_left sends it
-  // (right), and NaN in the numerical split below must too.
-  Split cat;
-  cat.feature = 0;
-  cat.categorical = true;
-  cat.left_mask = 0b101;  // levels 0 and 2 go left
+  // A NaN level must land where Split::goes_left sends it (right), and NaN
+  // in the numerical split below must too — at every tier, through full
+  // 64-row AVX2 groups and the scalar tail.
+  const Split cat = categorical_split(0, 0b101);  // levels 0 and 2 go left
   const std::vector<HandNode> nodes = {
-      {0, true, 0.0, cat.left_mask, 0.0, 1, 2}, le_split(1, 0.5, 3, 4),
-      leaf(7.0), leaf(1.0), leaf(2.0)};
+      cat_split(0, cat.left_mask, 1, 2), le_split(1, 0.5, 3, 4), leaf(7.0),
+      leaf(1.0), leaf(2.0)};
   const RandomForest forest = load_forest({nodes});
   ASSERT_FALSE(forest.flat().empty());
   const std::vector<std::vector<double>> probes = {
       {0.0, 0.0}, {1.0, 0.0},   {2.0, 1.0},   {3.0, 0.0},
       {63.0, 0.0}, {64.0, 0.0}, {kNaN, 0.0}, {2.0, kNaN}};
-  const FeatureMatrix rows = FeatureMatrix::from_rows(probes);
   std::vector<double> expect;
   for (const auto& p : probes) {
     expect.push_back(cat.goes_left(p[0]) ? (p[1] <= 0.5 ? 1.0 : 2.0) : 7.0);
@@ -302,7 +319,53 @@ TEST(SimdEval, NanRoutesLikeGoesLeftThroughCategoricalSplits) {
   EXPECT_FALSE(cat.goes_left(kNaN));
   EXPECT_EQ(expect[6], 7.0);  // NaN level: right
   EXPECT_EQ(expect[7], 2.0);  // NaN value under the numerical split: right
-  expect_leaves(forest, rows, expect);
+  expect_leaves(forest, cycle_rows(probes), expect);
+}
+
+TEST(SimdEval, CategoricalLevelsRouteLikeGoesLeftAtFullWidth) {
+  // Two categorical features under one numerical one. Feature 1's mask
+  // sets bits in both 32-bit halves (the AVX2 tier gathers the high word
+  // for levels 32-63), feature 2's only low bits. Probes cover the level
+  // edges (0, 31, 32, 63), rounding on both sides of 63.5 and -0.5, the
+  // no-level values (64, 1e30, +-inf, NaN) and in-between levels; an odd
+  // probe count puts every probe in every lane of a 64-row group.
+  const Split hi = categorical_split(
+      1, (1ULL << 0) | (1ULL << 5) | (1ULL << 31) | (1ULL << 32) |
+             (1ULL << 40) | (1ULL << 63));
+  const Split lo = categorical_split(2, 0b1011);  // levels 0, 1, 3
+  const std::vector<HandNode> nodes = {
+      cat_split(1, hi.left_mask, 1, 2),  // 0
+      le_split(0, 0.5, 3, 4),            // 1
+      cat_split(2, lo.left_mask, 5, 6),  // 2
+      leaf(1.0),                         // 3
+      leaf(2.0),                         // 4
+      leaf(3.0),                         // 5
+      leaf(4.0)};                        // 6
+  const RandomForest forest = load_forest({nodes});
+  ASSERT_FALSE(forest.flat().empty());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> levels = {
+      0.0,  31.0, 32.0, 63.0, 63.4, 63.6, 64.0, -0.4, -0.6,  1e30, kInf,
+      -kInf, kNaN, 5.0, 40.0, 62.5, 31.5, 0.5,  1.0,  3.0,   2.0,  -1e30,
+      33.0, 64.4, 7.0};
+  std::vector<std::vector<double>> probes;
+  std::vector<double> expect;
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    const double f0 = i % 3 == 0 ? 0.0 : (i % 3 == 1 ? 1.0 : kNaN);
+    const double f2 = levels[(i * 7 + 3) % levels.size()];
+    probes.push_back({f0, levels[i], f2});
+    expect.push_back(hi.goes_left(levels[i]) ? (f0 <= 0.5 ? 1.0 : 2.0)
+                                             : (lo.goes_left(f2) ? 3.0 : 4.0));
+  }
+  ASSERT_EQ(probes.size() % 2, 1u);
+  // Spot checks of the routing the probes pin down.
+  EXPECT_TRUE(hi.goes_left(32.0));   // high word, bit 0
+  EXPECT_TRUE(hi.goes_left(63.4));   // rounds to 63
+  EXPECT_FALSE(hi.goes_left(63.6));  // rounds to 64: no level
+  EXPECT_TRUE(hi.goes_left(-0.4));   // rounds to 0
+  EXPECT_FALSE(hi.goes_left(-0.6));  // rounds to -1: no level
+  EXPECT_TRUE(lo.goes_left(0.5));    // rounds half away from zero, to 1
+  expect_leaves(forest, cycle_rows(probes), expect);
 }
 
 // ---- fitted forests: every tier == the tree-walk reference ----------------
@@ -347,6 +410,64 @@ std::vector<double> reference_importance(const RandomForest& forest,
     importance[f] = mse(perm, f) - baseline;
   }
   return importance;
+}
+
+TEST(SimdEval, FeatureSplitBothWaysFallsBackToTreeWalkBitExact) {
+  // Feature 0 carries a numerical and a categorical split, so it has no
+  // single rank slot: the forest stays uncompiled (the fitter never does
+  // this; only a hand-written forest file can), and every entry point
+  // predicts through the trees' own walk, bit for bit.
+  const std::vector<HandNode> mixed = {
+      le_split(0, 2.5, 1, 2), cat_split(0, 0b0101, 3, 4),
+      le_split(1, 0.0, 5, 6), leaf(10.0), leaf(11.0), leaf(12.0), leaf(13.0)};
+  const std::vector<HandNode> high = {
+      cat_split(0, (1ULL << 3) | (1ULL << 40), 1, 2), leaf(20.0), leaf(21.5)};
+  const RandomForest forest = load_forest({mixed, high});
+  ASSERT_TRUE(forest.flat().empty());
+  ASSERT_EQ(forest.flat().memory_bytes(), 0u);
+
+  const std::vector<double> values = {0.0, 2.0, 2.5, 3.0,  40.0, 63.6,
+                                      -0.6, kNaN, 1e30, -1.0, 0.4};
+  std::vector<std::vector<double>> probes;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    probes.push_back({values[i], values[(i * 3 + 1) % values.size()]});
+  }
+  const FeatureMatrix rows = cycle_rows(probes);
+  Dataset data(2);  // permutation importance over the finite probes
+  for (std::size_t r = 0; r < rows.num_rows(); ++r) {
+    const auto row = rows.row(r);
+    if (std::isfinite(row[0]) && std::isfinite(row[1])) {
+      data.add(row, static_cast<double>(r % 5));
+    }
+  }
+  util::Rng ref_rng(11);
+  const std::vector<double> ref_importance =
+      reference_importance(forest, data, ref_rng);
+  util::ThreadPool pool(3);
+  for (const simd::Level level : available_levels()) {
+    SCOPED_TRACE(simd::level_name(level));
+    LevelGuard guard(level);
+    for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
+                                &pool}) {
+      SCOPED_TRACE(p == nullptr ? "serial" : "pooled");
+      const auto batch = forest.predict_stats_batch(rows, p);
+      for (std::size_t r = 0; r < rows.num_rows(); ++r) {
+        const PredictionStats ref = forest.predict_stats_reference(rows.row(r));
+        EXPECT_EQ(batch[r].mean, ref.mean) << "row " << r;
+        EXPECT_EQ(batch[r].variance, ref.variance) << "row " << r;
+      }
+      util::Rng perm_rng(11);
+      EXPECT_EQ(forest.permutation_importance(data, perm_rng, p),
+                ref_importance);
+    }
+    for (std::size_t r = 0; r < rows.num_rows(); ++r) {
+      const PredictionStats ref = forest.predict_stats_reference(rows.row(r));
+      const PredictionStats one = forest.predict_stats(rows.row(r));
+      EXPECT_EQ(one.mean, ref.mean) << "row " << r;
+      EXPECT_EQ(one.variance, ref.variance) << "row " << r;
+      EXPECT_EQ(forest.predict(rows.row(r)), ref.mean) << "row " << r;
+    }
+  }
 }
 
 TEST(SimdEval, EveryTierBitExactAcrossAllWorkloadSpaces) {
