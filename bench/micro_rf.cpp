@@ -14,9 +14,10 @@
 // and two sweeps of the engine's kernel tiers (scalar|avx2), each pinned
 // and checked bit-exact the same way: one over that numerical pool, one
 // over a categorical workload's forest and pool (hypre, serve_model's
-// session size). The seed_baseline_* constants are the pre-overhaul
-// numbers measured on the same container (single-threaded), kept for
-// before/after context.
+// session size). The sweeps interleave the tiers' 15 repetitions and
+// report each cell's median beside its best. The seed_baseline_* constants
+// are the pre-overhaul numbers measured on the same container
+// (single-threaded), kept for before/after context.
 
 #include <algorithm>
 #include <chrono>
@@ -87,7 +88,8 @@ namespace simd = pwu::rf::simd;
 
 struct LevelCell {
   const char* level;
-  double ms = 0.0;
+  double best_ms = 0.0;
+  double median_ms = 0.0;
   bool bit_exact = true;
   bool available = false;
 };
@@ -103,24 +105,39 @@ bool same_stats(const std::vector<PredictionStats>& got,
 }
 
 /// Each kernel tier over `pool`, single-threaded, pinned via
-/// set_level_override and checked bit-for-bit against `ref`.
+/// set_level_override and checked bit-for-bit against `ref` on every
+/// repetition. Repetitions interleave the tiers (scalar, avx2, scalar,
+/// ...) so drift in the machine's speed lands on every cell alike; each
+/// cell reports its best and its median of `repeats` timings.
 std::vector<LevelCell> sweep_levels(const RandomForest& forest,
                                     const FeatureMatrix& pool,
                                     const std::vector<PredictionStats>& ref,
                                     int repeats) {
+  const simd::Level levels[] = {simd::Level::Scalar, simd::Level::Avx2};
   std::vector<LevelCell> cells;
-  for (const simd::Level level : {simd::Level::Scalar, simd::Level::Avx2}) {
+  for (const simd::Level level : levels) {
     LevelCell cell{simd::level_name(level)};
-    if (level <= simd::detected_level()) {
-      simd::set_level_override(level);
-      std::vector<PredictionStats> out;
-      cell.available = true;
-      cell.ms = time_best_ms(repeats,
-                             [&] { out = forest.predict_stats_batch(pool); });
-      cell.bit_exact = same_stats(out, ref);
-      simd::clear_level_override();
-    }
+    cell.available = level <= simd::detected_level();
     cells.push_back(cell);
+  }
+  std::vector<std::vector<double>> samples(cells.size());
+  std::vector<PredictionStats> out;
+  for (int r = 0; r < repeats; ++r) {
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (!cells[i].available) continue;
+      simd::set_level_override(levels[i]);
+      samples[i].push_back(
+          time_best_ms(1, [&] { out = forest.predict_stats_batch(pool); }));
+      simd::clear_level_override();
+      cells[i].bit_exact = cells[i].bit_exact && same_stats(out, ref);
+    }
+  }
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (!cells[i].available) continue;
+    std::vector<double>& ms = samples[i];
+    std::sort(ms.begin(), ms.end());
+    cells[i].best_ms = ms.front();
+    cells[i].median_ms = ms[ms.size() / 2];
   }
   return cells;
 }
@@ -135,15 +152,16 @@ bool cells_exact(const std::vector<LevelCell>& cells) {
 
 void write_cells(std::ostream& json, const std::vector<LevelCell>& cells,
                  std::size_t rows) {
-  const double scalar_ms = cells[0].ms;
+  const double scalar_ms = cells[0].median_ms;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const LevelCell& cell = cells[i];
     json << "      {\"level\": \"" << cell.level << "\", \"available\": "
          << (cell.available ? "true" : "false");
     if (cell.available) {
-      json << ", \"ms\": " << cell.ms << ", \"rows_per_sec\": "
-           << 1000.0 * static_cast<double>(rows) / cell.ms
-           << ", \"speedup_vs_scalar\": " << scalar_ms / cell.ms
+      json << ", \"best_ms\": " << cell.best_ms
+           << ", \"median_ms\": " << cell.median_ms << ", \"rows_per_sec\": "
+           << 1000.0 * static_cast<double>(rows) / cell.median_ms
+           << ", \"speedup_vs_scalar\": " << scalar_ms / cell.median_ms
            << ", \"bit_exact\": " << (cell.bit_exact ? "true" : "false");
     }
     json << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
@@ -151,11 +169,12 @@ void write_cells(std::ostream& json, const std::vector<LevelCell>& cells,
 }
 
 void print_cells(const std::vector<LevelCell>& cells) {
-  const double scalar_ms = cells[0].ms;
+  const double scalar_ms = cells[0].median_ms;
   for (const LevelCell& cell : cells) {
     std::cout << "  " << cell.level << ": ";
     if (cell.available) {
-      std::cout << cell.ms << " ms (" << scalar_ms / cell.ms
+      std::cout << "median " << cell.median_ms << " ms, best " << cell.best_ms
+                << " ms (" << scalar_ms / cell.median_ms
                 << "x scalar, bit-exact " << (cell.bit_exact ? "yes" : "NO")
                 << ")\n";
     } else {
@@ -217,14 +236,17 @@ int main(int argc, char** argv) {
   const double ref_rows_per_sec = 1000.0 * pool_rows / ref_ms;
 
   // ---- SIMD levels: each kernel tier over the same pool ----
-  // Reported relative to the scalar tier so the kernel speedup is separated
-  // from the engine speedup above.
-  const std::vector<LevelCell> cells = sweep_levels(forest, pool, ref_out, 5);
-  const double scalar_ms = cells[0].ms;
+  // Reported relative to the scalar tier (median over median) so the
+  // kernel speedup is separated from the engine speedup above.
+  constexpr int kLevelRepeats = 15;
+  const std::vector<LevelCell> cells =
+      sweep_levels(forest, pool, ref_out, kLevelRepeats);
+  const double scalar_ms = cells[0].median_ms;
   double best_kernel_speedup = 1.0;
   for (const LevelCell& cell : cells) {
     if (!cell.available) continue;
-    best_kernel_speedup = std::max(best_kernel_speedup, scalar_ms / cell.ms);
+    best_kernel_speedup =
+        std::max(best_kernel_speedup, scalar_ms / cell.median_ms);
   }
   const bool levels_exact = cells_exact(cells);
 
@@ -258,7 +280,7 @@ int main(int argc, char** argv) {
     cat_ref[i] = cat_forest.predict_stats_reference(cat_pool.row(i));
   }
   const std::vector<LevelCell> cat_cells =
-      sweep_levels(cat_forest, cat_pool, cat_ref, 15);
+      sweep_levels(cat_forest, cat_pool, cat_ref, kLevelRepeats);
   const bool cat_exact = cells_exact(cat_cells);
 
   std::ofstream json(out_path);
@@ -283,7 +305,8 @@ int main(int argc, char** argv) {
        << "  \"simd_levels\": {\n"
        << "    \"detected_level\": \""
        << simd::level_name(simd::detected_level()) << "\",\n"
-       << "    \"pool_rows\": " << pool_rows << ", \"trees\": 200,\n"
+       << "    \"pool_rows\": " << pool_rows << ", \"trees\": 200,"
+       << " \"repetitions\": " << kLevelRepeats << ",\n"
        << "    \"cells\": [\n";
   write_cells(json, cells, pool_rows);
   json << "    ],\n"
@@ -297,7 +320,8 @@ int main(int argc, char** argv) {
        << "  \"categorical_levels\": {\n"
        << "    \"workload\": \"hypre\", \"train_rows\": " << kCatLabels
        << ", \"trees\": " << cat_cfg.num_trees << ",\n"
-       << "    \"pool_rows\": " << kCatPool << ",\n"
+       << "    \"pool_rows\": " << kCatPool << ", \"repetitions\": "
+       << kLevelRepeats << ",\n"
        << "    \"cells\": [\n";
   write_cells(json, cat_cells, kCatPool);
   json << "    ],\n"

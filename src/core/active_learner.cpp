@@ -41,8 +41,11 @@ LearnerResult ActiveLearner::run(const SamplingStrategy& strategy,
                                  std::vector<space::Configuration> pool_configs,
                                  const TestSet& test, util::Rng& rng,
                                  util::ThreadPool* thread_pool) const {
-  return run_impl(strategy, std::move(pool_configs), test, nullptr, rng,
-                  thread_pool);
+  // With no fault model the executor makes the same draws and the same
+  // division as Workload::measure, so this is the plain Algorithm-1 run.
+  sim::Executor executor(config_.measure_repetitions);
+  return drive(strategy, std::move(pool_configs), test, nullptr, executor, rng,
+               thread_pool);
 }
 
 LearnerResult ActiveLearner::run_warm(
@@ -54,31 +57,48 @@ LearnerResult ActiveLearner::run_warm(
     throw std::invalid_argument(
         "ActiveLearner::run_warm: warm-start feature schema mismatch");
   }
-  return run_impl(strategy, std::move(pool_configs), test, &warm_start, rng,
-                  thread_pool);
+  sim::Executor executor(config_.measure_repetitions);
+  return drive(strategy, std::move(pool_configs), test, &warm_start, executor,
+               rng, thread_pool);
 }
 
-// Failure-aware driver: identical loop shape to run_impl, but every
-// measurement goes through the executor and can fail. Transient failures
-// are re-measured after the rest of the batch (still in ask order);
-// deterministic ones drop into the session's failed set. The evaluation
-// record is skipped while no surrogate exists yet — possible when failures
-// stretch the cold start across several top-up batches.
 LearnerResult ActiveLearner::run_with_executor(
     const SamplingStrategy& strategy,
     std::vector<space::Configuration> pool_configs, const TestSet& test,
-    sim::Executor& executor, util::Rng& rng PWU_RNG_STREAM(run),
+    sim::Executor& executor, util::Rng& rng,
     util::ThreadPool* thread_pool) const {
+  return drive(strategy, std::move(pool_configs), test, nullptr, executor, rng,
+               thread_pool);
+}
+
+// Algorithm 1 over service::AskTellSession — the single loop shared with
+// the tuning service. This side owns what a service client would: the
+// measurement callback, the held-out evaluation, and the trace.
+// Every measurement goes through the executor and can fail: transient
+// failures are re-measured after the rest of the batch (still in ask
+// order); deterministic ones drop into the session's failed set. The
+// evaluation record is skipped while no surrogate exists yet — possible
+// when failures stretch the cold start across several top-up batches.
+LearnerResult ActiveLearner::drive(
+    const SamplingStrategy& strategy,
+    std::vector<space::Configuration> pool_configs, const TestSet& test,
+    const rf::Dataset* warm_start, sim::Executor& executor,
+    util::Rng& rng PWU_RNG_STREAM(run), util::ThreadPool* thread_pool) const {
   if (pool_configs.size() < config_.n_init) {
-    throw std::invalid_argument(
-        "ActiveLearner::run_with_executor: pool smaller than n_init");
+    throw std::invalid_argument("ActiveLearner: pool smaller than n_init");
   }
 
+  // Two independent streams derived from the caller's rng, in the same
+  // order the service derives them from one seed: the session stream
+  // (sampling, strategy tie-breaks, forest fits) and the measurement
+  // stream (the client side of ask/tell). This is what makes a service
+  // session and a batch run with the same seed produce identical training
+  // sets (see tests/test_ask_tell.cpp).
   const std::uint64_t session_seed = rng.next_u64();
   util::Rng measure_rng(rng.next_u64());
 
   service::AskTellSession session(workload_.space(), strategy, config_,
-                                  std::move(pool_configs), nullptr,
+                                  std::move(pool_configs), warm_start,
                                   session_seed, thread_pool);
 
   LearnerResult result;
@@ -116,72 +136,6 @@ LearnerResult ActiveLearner::run_with_executor(
     result.trace.push_back(std::move(rec));
   };
 
-  measure_batch(session.ask());
-  record();
-  while (!session.done()) {
-    measure_batch(session.ask());
-    const bool should_eval =
-        session.iteration() % config_.eval_every == 0 || session.done();
-    if (should_eval) record();
-  }
-
-  result.selections = session.selections();
-  result.train_configs = session.train_configs();
-  result.train_labels = session.train_labels();
-  result.model = session.model();
-  result.failed_configs = session.failed().size();
-  result.transient_retries = session.transient_retries();
-  result.failure_cost = session.failure_cost();
-  return result;
-}
-
-// Thin driver over service::AskTellSession — the single Algorithm-1 loop
-// shared with the tuning service. The driver owns what a service client
-// would: the measurement callback, the held-out evaluation, and the trace.
-LearnerResult ActiveLearner::run_impl(
-    const SamplingStrategy& strategy,
-    std::vector<space::Configuration> pool_configs, const TestSet& test,
-    const rf::Dataset* warm_start, util::Rng& rng PWU_RNG_STREAM(run),
-    util::ThreadPool* thread_pool) const {
-  if (pool_configs.size() < config_.n_init) {
-    throw std::invalid_argument("ActiveLearner::run: pool smaller than n_init");
-  }
-
-  // Two independent streams derived from the caller's rng, in the same
-  // order the service derives them from one seed: the session stream
-  // (sampling, strategy tie-breaks, forest fits) and the measurement
-  // stream (the client side of ask/tell). This is what makes a service
-  // session and a batch run with the same seed produce identical training
-  // sets (see tests/test_ask_tell.cpp).
-  const std::uint64_t session_seed = rng.next_u64();
-  util::Rng measure_rng(rng.next_u64());
-
-  service::AskTellSession session(workload_.space(), strategy, config_,
-                                  std::move(pool_configs), warm_start,
-                                  session_seed, thread_pool);
-
-  LearnerResult result;
-  auto measure_batch = [&](const std::vector<service::Candidate>& batch) {
-    for (const auto& candidate : batch) {
-      session.tell(candidate.config,
-                   workload_.measure(candidate.config, measure_rng,
-                                     config_.measure_repetitions));
-    }
-    session.refit();
-  };
-  auto record = [&]() {
-    IterationRecord rec;
-    rec.num_samples = session.num_labeled();
-    rec.cumulative_cost = session.cumulative_cost();
-    rec.top_alpha_rmse.reserve(config_.eval_alphas.size());
-    const Surrogate& model = *session.model();
-    for (double alpha : config_.eval_alphas) {
-      rec.top_alpha_rmse.push_back(top_alpha_rmse(model, test, alpha));
-    }
-    rec.full_rmse = full_rmse(model, test);
-    result.trace.push_back(std::move(rec));
-  };
-
   // Cold start (Algorithm 1, lines 1-4), then one record.
   measure_batch(session.ask());
   record();
@@ -198,6 +152,9 @@ LearnerResult ActiveLearner::run_impl(
   result.train_configs = session.train_configs();
   result.train_labels = session.train_labels();
   result.model = session.model();
+  result.failed_configs = session.failed().size();
+  result.transient_retries = session.transient_retries();
+  result.failure_cost = session.failure_cost();
   return result;
 }
 

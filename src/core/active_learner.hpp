@@ -131,11 +131,12 @@ class ActiveLearner {
   const LearnerConfig& config() const { return config_; }
 
  private:
-  LearnerResult run_impl(const SamplingStrategy& strategy,
-                         std::vector<space::Configuration> pool,
-                         const TestSet& test, const rf::Dataset* warm_start,
-                         util::Rng& rng,
-                         util::ThreadPool* thread_pool) const;
+  /// The one learner loop behind run, run_warm and run_with_executor.
+  LearnerResult drive(const SamplingStrategy& strategy,
+                      std::vector<space::Configuration> pool,
+                      const TestSet& test, const rf::Dataset* warm_start,
+                      sim::Executor& executor, util::Rng& rng,
+                      util::ThreadPool* thread_pool) const;
 
   const workloads::Workload& workload_;
   LearnerConfig config_;

@@ -150,6 +150,15 @@ json::Value Router::handle(const json::Value& request) {
 json::Value Router::dispatch(const json::Value& request) {
   const std::string op = required_op(request);
   if (op == "shutdown") return handle_shutdown();
+  if (op == "hello") {
+    // Framing negotiation for the client hop: run_router_loop flips its
+    // responses to framed; the ring epoch is this front-end's fence.
+    return ok_response(
+        {{"proto", json::Value(std::string("pwu1"))},
+         {"frame", json::Value(request.bool_or("frame", false))},
+         {"fence_epoch",
+          json::Value(static_cast<std::size_t>(ring_.epoch()))}});
+  }
   if (op == "list") return handle_list();
   if (op == "health") return handle_health();
   if (op == "grow") {
@@ -1123,65 +1132,13 @@ std::vector<json::Value> Router::handle_batch(
 
 std::size_t run_router_loop(std::istream& in, std::ostream& out,
                             Router& router) {
-  constexpr std::size_t kMaxRequestBytes = 1 << 20;
+  // Greedy windows: whatever further requests are already buffered join
+  // the first, so clients that pipeline get shard-level pipelining.
   constexpr std::size_t kMaxWindow = 256;
-  std::size_t handled = 0;
-  std::string line;
-  bool shutdown = false;
-  while (!shutdown && std::getline(in, line)) {
-    // Greedy read: whatever further lines are already buffered join this
-    // window, so clients that pipeline get shard-level pipelining for
-    // free. The first line always blocks — no busy wait.
-    std::vector<std::string> lines;
-    lines.push_back(line);
-    while (lines.size() < kMaxWindow && in.rdbuf()->in_avail() > 0 &&
-           std::getline(in, line)) {
-      lines.push_back(line);
-    }
-
-    std::vector<json::Value> batch;
-    // Slot i of the window maps to batch position slots[i], or npos for
-    // lines answered (or skipped) without forwarding.
-    constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> slots(lines.size(), kNoSlot);
-    std::vector<json::Value> immediate(lines.size());
-    std::vector<bool> skip(lines.size(), false);
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      const std::string& text = lines[i];
-      if (text.find_first_not_of(" \t\r") == std::string::npos) {
-        skip[i] = true;
-        continue;
-      }
-      if (text.size() > kMaxRequestBytes) {
-        immediate[i] = error_response("request line exceeds 1 MiB");
-        continue;
-      }
-      try {
-        slots[i] = batch.size();
-        batch.push_back(json::parse(text));
-      } catch (const std::exception& e) {
-        slots[i] = kNoSlot;
-        immediate[i] = error_response(e.what());
-      }
-    }
-
-    const std::vector<json::Value> batch_responses =
-        router.handle_batch(batch);
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      if (skip[i]) continue;
-      const json::Value& response =
-          slots[i] == kNoSlot ? immediate[i] : batch_responses[slots[i]];
-      out << response.dump() << '\n';
-      ++handled;
-      const json::Value& flag = response.at("shutdown");
-      if (flag.is_bool() && flag.as_bool()) {
-        shutdown = true;
-        break;
-      }
-    }
-    out.flush();
-  }
-  return handled;
+  return service::run_line_loop(
+      in, out, kMaxWindow, [&router](const std::vector<json::Value>& window) {
+        return router.handle_batch(window);
+      });
 }
 
 }  // namespace pwu::router

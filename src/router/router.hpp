@@ -332,10 +332,10 @@ class Router {
   std::uint64_t idem_counter_ = 0;
 };
 
-/// Reads JSON lines from `in` until EOF or a shutdown request, writing one
-/// response line each — the pwu_router main loop, mirroring
-/// service::run_serve_loop (same 1 MiB line cap, same blank-line and
-/// parse-error behavior). Returns the number of requests handled.
+/// The pwu_router main loop: service::run_line_loop over handle_batch,
+/// with windows of up to 256 already-buffered requests — so the client hop
+/// gets the same line cap, pwu1 framing and hello negotiation as
+/// pwu_serve. Returns the number of requests handled.
 std::size_t run_router_loop(std::istream& in, std::ostream& out,
                             Router& router);
 

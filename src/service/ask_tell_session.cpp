@@ -159,28 +159,12 @@ AskPlan AskTellSession::plan_ask(std::size_t n) {
     // behavior.
     PWU_ASSERT(num_labeled() < config_.n_init,
                "ask: cold start still open with n_init labels");
-    std::vector<std::size_t> init_indices = pool_.sample_indices(
-        std::min(config_.n_init - num_labeled(), pool_.size()), rng_);
-    // Mirror take_many's removal sequence (sorted unique, descending) on the
-    // feature rows so pool_ and pool_features_ stay index-aligned.
-    std::sort(init_indices.begin(), init_indices.end());
-    init_indices.erase(
-        std::unique(init_indices.begin(), init_indices.end()),
-        init_indices.end());
-    for (auto it = init_indices.rbegin(); it != init_indices.rend(); ++it) {
-      pool_features_.remove_row_swap(*it);
-    }
-    for (auto& config : pool_.take_many(std::move(init_indices))) {
-      Candidate cand;
-      cand.config = std::move(config);
-      pending_.push_back(std::move(cand));
-    }
-    PWU_ENSURE(phase() == SessionPhase::AwaitingTells,
-               "ask: cold start must leave the session awaiting tells, got "
-                   << to_string(phase()));
-    PWU_ENSURE(pool_.size() == pool_features_.num_rows(),
-               "ask: pool/features desync " << pool_.size() << " vs "
-                                            << pool_features_.num_rows());
+    // Cold-start picks carry iteration 0 even when a degraded ask has
+    // already advanced iteration_.
+    take_pending(pool_.sample_indices(
+                     std::min(config_.n_init - num_labeled(), pool_.size()),
+                     rng_),
+                 nullptr, 0);
     plan.candidates = pending_;
     return plan;
   }
@@ -191,8 +175,7 @@ AskPlan AskTellSession::plan_ask(std::size_t n) {
   PWU_ASSERT(model_ != nullptr,
              "ask: cold start complete but no fitted surrogate");
   ++iteration_;
-  const std::size_t want = n == 0 ? config_.n_batch : n;
-  plan.batch = std::min({want, config_.n_max - num_labeled(), pool_.size()});
+  plan.batch = batch_size(n);
   plan.needs_scores = true;
   return plan;
 }
@@ -204,42 +187,7 @@ std::vector<Candidate> AskTellSession::finish_ask(
   PWU_REQUIRE(stats.size() == pool_.size(),
               "finish_ask: " << stats.size() << " scores for "
                              << pool_.size() << " pool rows");
-  core::PoolPrediction prediction;
-  prediction.best_observed = best_observed();
-  prediction.mean.resize(pool_.size());
-  prediction.stddev.resize(pool_.size());
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    prediction.mean[i] = stats[i].mean;
-    prediction.stddev[i] = stats[i].stddev;
-  }
-  prediction.features = &pool_features_;
-
-  std::vector<std::size_t> selected =
-      strategy_->select(prediction, plan.batch, rng_);
-  if (selected.empty()) {
-    throw std::logic_error("SamplingStrategy returned an empty batch");
-  }
-  // Remove in descending index order so earlier removals (swap-with-last)
-  // cannot disturb later indices, keeping each config paired with the
-  // prediction it was selected under.
-  std::sort(selected.begin(), selected.end());
-  selected.erase(std::unique(selected.begin(), selected.end()),
-                 selected.end());
-  for (auto it = selected.rbegin(); it != selected.rend(); ++it) {
-    Candidate cand;
-    cand.has_prediction = true;
-    cand.predicted_mean = stats.at(*it).mean;
-    cand.predicted_stddev = stats.at(*it).stddev;
-    cand.iteration = iteration_;
-    cand.config = pool_.take(*it);
-    pool_features_.remove_row_swap(*it);
-    pending_.push_back(std::move(cand));
-  }
-  PWU_ENSURE(phase() == SessionPhase::AwaitingTells,
-             "ask: a non-empty batch must leave the session awaiting tells");
-  PWU_ENSURE(pool_.size() == pool_features_.num_rows(),
-             "ask: pool/features desync " << pool_.size() << " vs "
-                                          << pool_features_.num_rows());
+  take_pending(select_batch(stats, plan.batch, rng_), &stats, iteration_);
   return pending_;
 }
 
@@ -252,70 +200,91 @@ std::vector<Candidate> AskTellSession::ask_degraded(
   if (done()) return {};
 
   ++iteration_;
-  const std::size_t want = n == 0 ? config_.n_batch : n;
-  const std::size_t batch =
-      std::min({want, config_.n_max - num_labeled(), pool_.size()});
-
-  std::vector<std::size_t> selected;
-  std::vector<rf::PredictionStats> stats;
-  const bool scored = stale != nullptr && stale->fitted();
-  if (scored) {
+  const std::size_t batch = batch_size(n);
+  if (stale != nullptr && stale->fitted()) {
     // Score the pool with the caller's last-good snapshot — serially
     // (nullptr pool): the worker threads are busy with the very refit this
     // ask is degrading around.
-    stats = stale->predict_stats_batch(pool_features_, nullptr);
-    core::PoolPrediction prediction;
-    prediction.best_observed = best_observed();
-    prediction.mean.resize(pool_.size());
-    prediction.stddev.resize(pool_.size());
-    for (std::size_t i = 0; i < stats.size(); ++i) {
-      prediction.mean[i] = stats[i].mean;
-      prediction.stddev[i] = stats[i].stddev;
-    }
-    prediction.features = &pool_features_;
-    selected = strategy_->select(prediction, batch, degraded_rng_);
-    if (selected.empty()) {
-      throw std::logic_error("SamplingStrategy returned an empty batch");
-    }
+    const std::vector<rf::PredictionStats> stats =
+        stale->predict_stats_batch(pool_features_, nullptr);
+    take_pending(select_batch(stats, batch, degraded_rng_), &stats, iteration_);
     ++degraded_stale_asks_;
   } else {
-    selected = pool_.sample_indices(batch, degraded_rng_);
+    take_pending(pool_.sample_indices(batch, degraded_rng_), nullptr,
+                 iteration_);
     ++degraded_random_asks_;
   }
+  return pending_;
+}
 
-  std::sort(selected.begin(), selected.end());
-  selected.erase(std::unique(selected.begin(), selected.end()),
-                 selected.end());
-  for (auto it = selected.rbegin(); it != selected.rend(); ++it) {
+std::size_t AskTellSession::batch_size(std::size_t n) const {
+  const std::size_t want = n == 0 ? config_.n_batch : n;
+  return std::min({want, config_.n_max - num_labeled(), pool_.size()});
+}
+
+std::vector<std::size_t> AskTellSession::select_batch(
+    const std::vector<rf::PredictionStats>& stats, std::size_t batch,
+    util::Rng& rng) const {
+  core::PoolPrediction prediction;
+  prediction.best_observed = best_observed();
+  prediction.mean.resize(stats.size());
+  prediction.stddev.resize(stats.size());
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    prediction.mean[i] = stats[i].mean;
+    prediction.stddev[i] = stats[i].stddev;
+  }
+  prediction.features = &pool_features_;
+  std::vector<std::size_t> selected = strategy_->select(prediction, batch, rng);
+  if (selected.empty()) {
+    throw std::logic_error("SamplingStrategy returned an empty batch");
+  }
+  return selected;
+}
+
+void AskTellSession::take_pending(std::vector<std::size_t> indices,
+                                  const std::vector<rf::PredictionStats>* stats,
+                                  std::size_t iteration) {
+  // Remove in descending index order so earlier removals (swap-with-last)
+  // cannot disturb later indices, keeping each config paired with its
+  // feature row and with the prediction it was selected under.
+  std::sort(indices.begin(), indices.end());
+  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
+  for (auto it = indices.rbegin(); it != indices.rend(); ++it) {
     Candidate cand;
-    if (scored) {
+    if (stats != nullptr) {
       cand.has_prediction = true;
-      cand.predicted_mean = stats.at(*it).mean;
-      cand.predicted_stddev = stats.at(*it).stddev;
+      cand.predicted_mean = stats->at(*it).mean;
+      cand.predicted_stddev = stats->at(*it).stddev;
     }
-    cand.iteration = iteration_;
+    cand.iteration = iteration;
     cand.config = pool_.take(*it);
     pool_features_.remove_row_swap(*it);
     pending_.push_back(std::move(cand));
   }
   PWU_ENSURE(phase() == SessionPhase::AwaitingTells,
-             "ask_degraded: a non-empty batch must leave the session "
-             "awaiting tells");
+             "ask: a non-empty batch must leave the session awaiting tells, "
+             "got " << to_string(phase()));
   PWU_ENSURE(pool_.size() == pool_features_.num_rows(),
-             "ask_degraded: pool/features desync "
-                 << pool_.size() << " vs " << pool_features_.num_rows());
-  return pending_;
+             "ask: pool/features desync " << pool_.size() << " vs "
+                                          << pool_features_.num_rows());
 }
 
-bool AskTellSession::tell(const space::Configuration& config,
-                          double measured_time) {
+std::vector<Candidate>::iterator AskTellSession::find_pending(
+    const space::Configuration& config, const char* who) {
   const auto it =
       std::find_if(pending_.begin(), pending_.end(),
                    [&](const Candidate& c) { return c.config == config; });
   if (it == pending_.end()) {
     throw std::invalid_argument(
-        "AskTellSession::tell: configuration is not an outstanding candidate");
+        std::string(who) +
+        ": configuration is not an outstanding candidate");
   }
+  return it;
+}
+
+bool AskTellSession::tell(const space::Configuration& config,
+                          double measured_time) {
+  const auto it = find_pending(config, "AskTellSession::tell");
   append_label(*it, measured_time);
   pending_.erase(it);
   if (!pending_.empty()) return false;
@@ -334,14 +303,7 @@ FailureOutcome AskTellSession::tell_failure(const space::Configuration& config,
     throw std::invalid_argument(
         "AskTellSession::tell_failure: cost_seconds must be >= 0");
   }
-  const auto it =
-      std::find_if(pending_.begin(), pending_.end(),
-                   [&](const Candidate& c) { return c.config == config; });
-  if (it == pending_.end()) {
-    throw std::invalid_argument(
-        "AskTellSession::tell_failure: configuration is not an outstanding "
-        "candidate");
-  }
+  const auto it = find_pending(config, "AskTellSession::tell_failure");
 
   // The failed attempt's wall-clock is real tuning time: charge it.
   cumulative_cost_ += cost_seconds;

@@ -288,6 +288,25 @@ class AskTellSession {
                  std::vector<space::Configuration> pool, std::uint64_t seed,
                  util::ThreadPool* workers);
 
+  /// Strategy batch size for a requested count (0 = n_batch), clamped to
+  /// the remaining budget and pool.
+  std::size_t batch_size(std::size_t n) const;
+  /// Runs the strategy over scored pool rows (stats[i] scores pool row i)
+  /// on `rng` — rng_ for fresh asks, degraded_rng_ for degraded ones.
+  /// Throws std::logic_error when the strategy returns an empty batch.
+  std::vector<std::size_t> select_batch(
+      const std::vector<rf::PredictionStats>& stats, std::size_t batch,
+      util::Rng& rng) const;
+  /// Moves the pool rows at `indices` (de-duplicated) into pending_, tagged
+  /// with `iteration` and, when `stats` is given, the prediction each row
+  /// was scored with. Keeps pool_ and pool_features_ index-aligned.
+  void take_pending(std::vector<std::size_t> indices,
+                    const std::vector<rf::PredictionStats>* stats,
+                    std::size_t iteration);
+  /// The outstanding candidate for `config`; throws std::invalid_argument
+  /// prefixed with `who` when there is none.
+  std::vector<Candidate>::iterator find_pending(
+      const space::Configuration& config, const char* who);
   void append_label(const Candidate& candidate, double measured_time);
   /// Batch-completion bookkeeping shared by tell and tell_failure: decides
   /// cold-start completion (with failure top-up) and whether a refit is due

@@ -599,81 +599,126 @@ util::json::Value handle_request(SessionManager& manager,
   return response;
 }
 
-std::size_t run_serve_loop(std::istream& in, std::ostream& out,
-                           SessionManager& manager) {
+std::size_t run_line_loop(std::istream& in, std::ostream& out,
+                          std::size_t max_window,
+                          const WindowHandler& handle) {
   // Requests beyond this size are rejected up front: a runaway or
   // malicious line must not balloon the JSON parser, and the loop (and
   // every other session) keeps serving afterwards.
   constexpr std::size_t kMaxRequestBytes = 1 << 20;
+  constexpr std::size_t kImmediate = static_cast<std::size_t>(-1);
+  const auto bad_frame = [](const char* what) {
+    json::Value bad = error_response(what);
+    bad.as_object().emplace("bad_frame", json::Value(true));
+    return bad;
+  };
+  // One slot per answered line, in arrival order: either the index of a
+  // parsed request in the window, or a response decided without handling.
+  struct Slot {
+    std::size_t request = kImmediate;
+    json::Value response;
+    bool hello_frame = false;  // the request is {"op":"hello","frame":true}
+  };
+  std::vector<json::Value> requests;
+  std::vector<Slot> slots;
   std::size_t handled = 0;
   bool framed_out = false;
-  const auto respond = [&](const json::Value& response) {
-    const std::string payload = response.dump();
-    if (framed_out) {
-      out << frame_encode(payload);
-    } else {
-      out << payload << '\n';
-    }
-    out.flush();
-    ++handled;
-  };
+  bool stop = false;
   std::string line;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    // Framed request: a `pwu1 <len> <crc32>` header line, payload on the
-    // next line. A damaged frame (bad length, bad CRC, missing payload) is
-    // reported as a structured bad_frame error — never mis-parsed — and
-    // the loop resyncs at the next line.
-    FrameHeader header;
-    if (parse_frame_header(line, header)) {
-      if (header.len > kMaxRequestBytes) {
-        json::Value bad = error_response("frame exceeds 1 MiB");
-        bad.as_object().emplace("bad_frame", json::Value(true));
-        respond(bad);
-        continue;
-      }
-      std::string payload;
-      if (!std::getline(in, payload)) {
-        json::Value bad =
-            error_response("truncated frame: stream ended before payload");
-        bad.as_object().emplace("bad_frame", json::Value(true));
-        respond(bad);
+  while (!stop) {
+    requests.clear();
+    slots.clear();
+    // The window's first line blocks; later lines join it only while they
+    // are already buffered, so a pipelining client gets batched handling
+    // and a one-at-a-time client never waits on a read.
+    while (slots.size() < max_window &&
+           (slots.empty() || in.rdbuf()->in_avail() > 0)) {
+      if (!std::getline(in, line)) {
+        stop = true;
         break;
       }
-      if (!frame_payload_matches(header, payload)) {
-        json::Value bad = error_response("frame checksum mismatch");
-        bad.as_object().emplace("bad_frame", json::Value(true));
-        respond(bad);
+      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+      // Framed request: a `pwu1 <len> <crc32>` header line, payload on the
+      // next line. A damaged frame (bad length, bad CRC, missing payload)
+      // is reported as a structured bad_frame error — never mis-parsed —
+      // and the loop resyncs at the next line.
+      FrameHeader header;
+      if (parse_frame_header(line, header)) {
+        if (header.len > kMaxRequestBytes) {
+          slots.push_back({kImmediate, bad_frame("frame exceeds 1 MiB")});
+          continue;
+        }
+        std::string payload;
+        if (!std::getline(in, payload)) {
+          slots.push_back({kImmediate,
+                           bad_frame("truncated frame: stream ended before "
+                                     "payload")});
+          stop = true;
+          break;
+        }
+        if (!frame_payload_matches(header, payload)) {
+          slots.push_back({kImmediate, bad_frame("frame checksum mismatch")});
+          continue;
+        }
+        line = std::move(payload);
+      }
+      if (line.size() > kMaxRequestBytes) {
+        slots.push_back(
+            {kImmediate, error_response("request line exceeds 1 MiB")});
         continue;
       }
-      line = std::move(payload);
-    }
-    if (line.size() > kMaxRequestBytes) {
-      respond(error_response("request line exceeds 1 MiB"));
-      continue;
-    }
-    json::Value response;
-    bool shutdown = false;
-    bool hello_frame = false;
-    try {
-      const json::Value request = json::parse(line);
-      response = handle_request(manager, request);
-      if (request.string_or("op", "") == "hello" &&
-          response.bool_or("ok", false)) {
-        hello_frame = request.bool_or("frame", false);
+      try {
+        json::Value request = json::parse(line);
+        const std::string op = request.string_or("op", "");
+        slots.push_back({requests.size(), json::Value(),
+                         op == "hello" && request.bool_or("frame", false)});
+        requests.push_back(std::move(request));
+        // Nothing after a shutdown joins its window.
+        if (op == "shutdown") break;
+      } catch (const std::exception& e) {
+        slots.push_back({kImmediate, error_response(e.what())});
       }
-      const json::Value& flag = response.at("shutdown");
-      shutdown = flag.is_bool() && flag.as_bool();
-    } catch (const std::exception& e) {
-      response = error_response(e.what());
     }
-    // The hello reply itself is already framed when framing was requested:
-    // the client asked for frames, so it can parse one immediately.
-    if (hello_frame) framed_out = true;
-    respond(response);
-    if (shutdown) break;
+
+    std::vector<json::Value> responses;
+    if (!requests.empty()) responses = handle(requests);
+    for (const Slot& slot : slots) {
+      const json::Value& response =
+          slot.request == kImmediate ? slot.response : responses[slot.request];
+      // An accepted {"op":"hello","frame":true} flips every later response
+      // to framed — its own reply included: the client asked for frames,
+      // so it can parse one immediately.
+      if (slot.hello_frame && response.bool_or("ok", false)) framed_out = true;
+      const std::string payload = response.dump();
+      if (framed_out) {
+        out << frame_encode(payload);
+      } else {
+        out << payload << '\n';
+      }
+      ++handled;
+      if (response.bool_or("shutdown", false)) {
+        stop = true;
+        break;
+      }
+    }
+    out.flush();
   }
   return handled;
+}
+
+std::size_t run_serve_loop(std::istream& in, std::ostream& out,
+                           SessionManager& manager) {
+  // One request per window: each reply is written and flushed before the
+  // next request is read, which closed-loop pipelining clients rely on.
+  return run_line_loop(
+      in, out, 1, [&manager](const std::vector<json::Value>& requests) {
+        std::vector<json::Value> responses;
+        responses.reserve(requests.size());
+        for (const json::Value& request : requests) {
+          responses.push_back(handle_request(manager, request));
+        }
+        return responses;
+      });
 }
 
 }  // namespace pwu::service

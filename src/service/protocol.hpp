@@ -83,9 +83,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "service/session_manager.hpp"
 #include "util/json.hpp"
@@ -139,12 +141,28 @@ space::Configuration configuration_from_json(const util::json::Value& levels);
 util::json::Value handle_request(SessionManager& manager,
                                  const util::json::Value& request);
 
-/// Reads JSON lines from `in` until EOF or a shutdown request, writing one
-/// response line each. Blank lines are skipped; parse errors produce error
+/// Answers one window of parsed requests: one response per request, in
+/// request order.
+using WindowHandler = std::function<std::vector<util::json::Value>(
+    const std::vector<util::json::Value>&)>;
+
+/// The JSON-lines loop behind pwu_serve and pwu_router. Reads requests from
+/// `in` until EOF or a shutdown request, writing one response each. Blank
+/// lines are skipped; oversized lines and parse errors produce error
 /// responses. Framed requests (a `pwu1` header line followed by the
-/// payload) are verified and unwrapped; {"op":"hello","frame":true} flips
-/// responses to framed for the rest of the loop. Returns the number of
-/// requests handled.
+/// payload) are verified and unwrapped — a damaged frame answers
+/// bad_frame and the loop resyncs at the next line — and an accepted
+/// {"op":"hello","frame":true} flips responses to framed for the rest of
+/// the loop. A window is the first (blocking) request plus whatever
+/// further requests are already buffered, up to `max_window`, ending at a
+/// shutdown request; `handle` answers it and its responses are flushed
+/// together. Returns the number of responses written.
+std::size_t run_line_loop(std::istream& in, std::ostream& out,
+                          std::size_t max_window,
+                          const WindowHandler& handle);
+
+/// run_line_loop over handle_request, one request per window. Returns the
+/// number of requests handled.
 std::size_t run_serve_loop(std::istream& in, std::ostream& out,
                            SessionManager& manager);
 

@@ -40,6 +40,11 @@ void validate_session_name(const std::string& name, const char* who) {
   }
 }
 
+/// Where auto-checkpoints, evictions and drain write a session's image.
+std::string auto_path(const std::string& dir, const std::string& name) {
+  return dir + "/" + name + ".ckpt";
+}
+
 /// Parsed form of a checkpoint() stream: the wrapper header plus the
 /// restored session. Shared by resume() and the lazy eviction-resume path.
 struct ParsedCheckpoint {
@@ -179,7 +184,7 @@ void SessionManager::ensure_resumed(const std::string& name, Entry& entry,
              "ensure_resumed: entry '" << name
                                        << "' has no session but is not "
                                           "marked evicted");
-  const std::string path = policy.dir + "/" + name + ".ckpt";
+  const std::string path = auto_path(policy.dir, name);
   const util::RecoveredRead read = util::read_checkpoint_with_fallback(path);
   if (read.status != util::ReadStatus::Ok) {
     throw std::runtime_error(
@@ -201,10 +206,7 @@ SessionStatus SessionManager::create(const std::string& name,
   validate_session_name(name, "SessionManager::create");
   // Cheap admission pre-check before the expensive pool build; the
   // authoritative check happens again under the registry lock at insert.
-  if (limits_.max_sessions != 0 && size() >= limits_.max_sessions) {
-    shed("session cap (" + std::to_string(limits_.max_sessions) +
-         ") reached");
-  }
+  shed_at_session_cap(size());
   const workloads::WorkloadPtr workload =
       workloads::make_workload(spec.workload);
 
@@ -221,25 +223,47 @@ SessionStatus SessionManager::create(const std::string& name,
   const std::uint64_t session_seed = run_rng.next_u64();
   const std::uint64_t measure_seed = run_rng.next_u64();
 
-  auto entry = std::make_shared<Entry>();
-  entry->session = std::make_unique<AskTellSession>(
-      workload->space(), StrategySpec{spec.strategy, spec.alpha}, spec.learner,
-      std::move(split.pool), session_seed, workers_);
-  entry->spec = spec;
-  entry->measure_seed = measure_seed;
+  return install(name,
+                 std::make_unique<AskTellSession>(
+                     workload->space(), StrategySpec{spec.strategy, spec.alpha},
+                     spec.learner, std::move(split.pool), session_seed,
+                     workers_),
+                 spec, measure_seed, "SessionManager::create");
+}
 
+void SessionManager::shed_at_session_cap(std::size_t live) const {
+  if (limits_.max_sessions != 0 && live >= limits_.max_sessions) {
+    shed("session cap (" + std::to_string(limits_.max_sessions) +
+         ") reached");
+  }
+}
+
+SessionStatus SessionManager::install(const std::string& name,
+                                      std::unique_ptr<AskTellSession> session,
+                                      SessionSpec spec,
+                                      std::uint64_t measure_seed,
+                                      const char* who) {
+  auto entry = std::make_shared<Entry>();
+  entry->session = std::move(session);
+  entry->spec = std::move(spec);
+  entry->measure_seed = measure_seed;
   SessionStatus status;
   {
     std::lock_guard lock(registry_mutex_);
-    if (limits_.max_sessions != 0 &&
-        sessions_.size() >= limits_.max_sessions) {
-      shed("session cap (" + std::to_string(limits_.max_sessions) +
-           ") reached");
-    }
+    shed_at_session_cap(sessions_.size());
     const auto [it, inserted] = sessions_.emplace(name, std::move(entry));
     if (!inserted) {
-      throw std::invalid_argument("SessionManager::create: session '" + name +
+      throw std::invalid_argument(std::string(who) + ": session '" + name +
                                   "' already exists");
+    }
+    {
+      // A new session under a reused name starts with an empty dedup
+      // window: a key remembered for an earlier session of that name (its
+      // close reply included) must not answer for this one. Emptied before
+      // the registry lock drops, so no reply the new session records is
+      // lost to it.
+      std::lock_guard idem_lock(idem_mutex_);
+      idem_windows_.erase(name);
     }
     touch(*it->second);
     it->second->footprint.store(it->second->session->memory_bytes(),
@@ -420,14 +444,13 @@ bool SessionManager::settle_refit(const std::shared_ptr<Entry>& entry,
   }
 }
 
-TellOutcome SessionManager::tell(const std::string& name,
-                                 const space::Configuration& config,
-                                 double measured_time) {
+template <class Apply>
+std::string SessionManager::apply_tell(const std::string& name,
+                                       Apply&& apply) {
   // Snapshot before locking the entry: registry_mutex_ is ordered before
   // entry mutexes, so it must never be acquired while one is held.
   const AutoCheckpointPolicy policy = auto_checkpoint_policy();
   const std::shared_ptr<Entry> entry = find(name);
-  TellOutcome outcome;
   PendingCheckpoint pending;
   {
     std::lock_guard lock(entry->mutex);
@@ -446,63 +469,50 @@ TellOutcome SessionManager::tell(const std::string& name,
       }
       shed("session '" + name + "' refit still in flight");
     }
-    outcome.batch_complete = entry->session->tell(config, measured_time);
-    outcome.labeled = entry->session->num_labeled();
-    outcome.done = entry->session->done();
+    const bool batch_complete = apply(*entry->session);
     // Serialize the checkpoint before scheduling the refit: a refit-due
     // session image restores exactly (the refit replays from the saved
     // rng). The file write itself is deferred past the locked scope.
     pending = maybe_auto_checkpoint(name, *entry, policy);
-    outcome.checkpoint_path = pending.path;
     update_footprint(name, *entry);
-    if (outcome.batch_complete) schedule_refit(entry);  // pwu-lint: blocking-ok(single-thread fallback runs the fit inline; the pool path is type-erased and lock-free)
+    if (batch_complete) schedule_refit(entry);  // pwu-lint: blocking-ok(single-thread fallback runs the fit inline; the pool path is type-erased and lock-free)
   }
   // The tell is applied in memory but its checkpoint is not yet on disk —
   // exactly the window the chaos harness proves recoverable.
   util::killpoint("session_manager.tell.applied");
   commit_checkpoint(*entry, pending);
   enforce_budget();
+  return pending.path;
+}
+
+TellOutcome SessionManager::tell(const std::string& name,
+                                 const space::Configuration& config,
+                                 double measured_time) {
+  TellOutcome outcome;
+  outcome.checkpoint_path = apply_tell(name, [&](AskTellSession& session) {
+    outcome.batch_complete = session.tell(config, measured_time);
+    outcome.labeled = session.num_labeled();
+    outcome.done = session.done();
+    return outcome.batch_complete;
+  });
   return outcome;
 }
 
 FailureTellOutcome SessionManager::tell_failure(
     const std::string& name, const space::Configuration& config,
     sim::FailureKind kind, double cost_seconds) {
-  const AutoCheckpointPolicy policy = auto_checkpoint_policy();
-  const std::shared_ptr<Entry> entry = find(name);
   FailureTellOutcome outcome;
-  PendingCheckpoint pending;
-  {
-    std::lock_guard lock(entry->mutex);
-    touch(*entry);
-    ensure_resumed(name, *entry, policy);  // pwu-lint: blocking-ok(lazy resume must swap entry->session in atomically; the restore refit runs on the helping pool and takes no lock)
-    if (entry->quarantined) {
-      shed("session '" + name + "' is quarantined (repeated refit timeouts)");
-    }
-    if (!settle_refit(entry, limits_.ask_deadline_ms)) {  // pwu-lint: blocking-ok(inline-fallback fit only; parallel_for helping-join takes no lock, entry.mutex is a leaf here)
-      if (entry->quarantined) {
-        shed("session '" + name +
-             "' is quarantined (repeated refit timeouts)");
-      }
-      shed("session '" + name + "' refit still in flight");
-    }
+  outcome.checkpoint_path = apply_tell(name, [&](AskTellSession& session) {
     const FailureOutcome result =
-        entry->session->tell_failure(config, kind, cost_seconds);
+        session.tell_failure(config, kind, cost_seconds);
     outcome.action = result.action;
     outcome.attempts = result.attempts;
     outcome.backoff_seconds = result.backoff_seconds;
     outcome.batch_complete = result.batch_complete;
-    outcome.done = entry->session->done();
-    outcome.failed_total = entry->session->failed().size();
-    pending = maybe_auto_checkpoint(name, *entry, policy);
-    outcome.checkpoint_path = pending.path;
-    update_footprint(name, *entry);
-    if (outcome.batch_complete) schedule_refit(entry);  // pwu-lint: blocking-ok(single-thread fallback runs the fit inline; the pool path is type-erased and lock-free)
-  }
-  // Applied in memory, not yet checkpointed (see tell()).
-  util::killpoint("session_manager.tell.applied");
-  commit_checkpoint(*entry, pending);
-  enforce_budget();
+    outcome.done = session.done();
+    outcome.failed_total = session.failed().size();
+    return outcome.batch_complete;
+  });
   return outcome;
 }
 
@@ -624,8 +634,11 @@ bool SessionManager::close(const std::string& name) {
   }
   budget_.charge(name, 0);
   {
-    // The dedup window dies with the session: a duplicate arriving after
-    // close answers "no session named ..." like any other stale request.
+    // The session's dedup window goes with it: a duplicate of an earlier op
+    // answers "no session named ..." like any other stale request. The
+    // protocol layer then remembers the close's own reply in a fresh window
+    // (a retried close must replay it), and install() clears that window
+    // when a new session takes the name.
     std::lock_guard idem_lock(idem_mutex_);
     idem_windows_.erase(name);
   }
@@ -702,17 +715,13 @@ std::string SessionManager::checkpoint_to_file(const std::string& name,
   const AutoCheckpointPolicy policy = auto_checkpoint_policy();
   const std::shared_ptr<Entry> entry = find(name);
   PendingCheckpoint pending;
-  pending.forced = true;
-  pending.path = path;
   {
     std::lock_guard lock(entry->mutex);
     ensure_resumed(name, *entry, policy);  // pwu-lint: blocking-ok(lazy resume must swap entry->session in atomically; the restore refit runs on the helping pool and takes no lock)
     join_refit(*entry);
-    std::ostringstream image;
-    serialize_locked(*entry, image);
-    pending.image = image.str();
-    pending.seq = ++entry->ckpt_seq;
+    pending = stamp_image(*entry, path);
   }
+  pending.forced = true;
   commit_checkpoint(*entry, pending);
   return path;
 }
@@ -726,12 +735,18 @@ SessionManager::AutoCheckpointPolicy SessionManager::auto_checkpoint_policy()
 SessionManager::PendingCheckpoint SessionManager::maybe_auto_checkpoint(
     const std::string& name, Entry& entry,
     const AutoCheckpointPolicy& policy) {
-  PendingCheckpoint pending;
-  if (policy.every == 0) return pending;
+  if (policy.every == 0) return {};
   // Caller holds entry.mutex (same contract as join_refit).
-  if (++entry.tells_since_checkpoint < policy.every) return pending;  // pwu-lint: allow(no-unlocked-mutable)
+  if (++entry.tells_since_checkpoint < policy.every) return {};  // pwu-lint: allow(no-unlocked-mutable)
   entry.tells_since_checkpoint = 0;  // pwu-lint: allow(no-unlocked-mutable)
-  pending.path = policy.dir + "/" + name + ".ckpt";
+  return stamp_image(entry, auto_path(policy.dir, name));
+}
+
+SessionManager::PendingCheckpoint SessionManager::stamp_image(
+    Entry& entry, std::string path) {
+  // Caller holds entry.mutex, so stamps follow serialization order.
+  PendingCheckpoint pending;
+  pending.path = std::move(path);
   std::ostringstream image;
   serialize_locked(entry, image);
   pending.image = image.str();
@@ -746,7 +761,7 @@ void SessionManager::commit_checkpoint(Entry& entry,
   // Newest wins: if a concurrent tell already committed a later image (or
   // an eviction wrote the final one), this stale image must not land.
   if (!pending.forced && pending.seq <= entry.ckpt_written_seq) return;
-  // pwu-lint: blocking-ok(ckpt_write_mutex exists precisely to serialize checkpoint writers; entry.mutex is NOT held here)
+  // pwu-lint: blocking-ok(ckpt_write_mutex exists precisely to serialize checkpoint writers; only eviction and drain arrive holding entry.mutex)
   util::atomic_write_file(pending.path, pending.image);
   if (pending.seq > entry.ckpt_written_seq) {
     entry.ckpt_written_seq = pending.seq;
@@ -809,18 +824,12 @@ void SessionManager::enforce_budget() {
     if (!lock.owns_lock()) continue;
     if (entry->session == nullptr) continue;          // already evicted
     if (entry->refit.valid()) continue;  // fit in flight — not idle
-    std::ostringstream image;
-    serialize_locked(*entry, image);
-    {
-      // entry->mutex stays held across the write: the eviction image and
-      // session teardown must be atomic to other users of the entry. The
-      // write-seq stamp invalidates any still-pending deferred commit so
-      // it cannot clobber this final image after the session is gone.
-      std::lock_guard write_lock(entry->ckpt_write_mutex);
-      // pwu-lint: blocking-ok(eviction write-then-free must be atomic; the entry is idle by try_lock and nobody can be waiting on ckpt_write_mutex with entry.mutex held)
-      util::atomic_write_file(policy.dir + "/" + name + ".ckpt", image.str());
-      entry->ckpt_written_seq = ++entry->ckpt_seq;
-    }
+    // entry->mutex stays held across the write: the eviction image and
+    // session teardown must be atomic to other users of the entry. Its
+    // stamp is the newest, so any still-pending deferred commit is dropped
+    // and cannot clobber this final image after the session is gone.
+    // pwu-lint: blocking-ok(eviction write-then-free must be atomic; the entry is idle by try_lock and nobody can be waiting on ckpt_write_mutex with entry.mutex held)
+    commit_checkpoint(*entry, stamp_image(*entry, auto_path(policy.dir, name)));
     entry->tells_since_checkpoint = 0;
     // A deferred fit is captured by the session's refit_due flag inside
     // the checkpoint; it replays after the lazy resume.
@@ -856,16 +865,10 @@ void SessionManager::drain() {
     }
     if (entry->session == nullptr) continue;  // evicted: already on disk
     if (auto_enabled) {
-      std::ostringstream image;
-      serialize_locked(*entry, image);
-      {
-        // Final shutdown image: held under entry->mutex so no tell can
-        // interleave, stamped so a straggling deferred commit is dropped.
-        std::lock_guard write_lock(entry->ckpt_write_mutex);
-        // pwu-lint: blocking-ok(shutdown barrier; the final image must supersede any in-flight deferred commit)
-        util::atomic_write_file(dir + "/" + name + ".ckpt", image.str());
-        entry->ckpt_written_seq = ++entry->ckpt_seq;
-      }
+      // Final shutdown image: held under entry->mutex so no tell can
+      // interleave, stamped so a straggling deferred commit is dropped.
+      // pwu-lint: blocking-ok(shutdown barrier; the final image must supersede any in-flight deferred commit)
+      commit_checkpoint(*entry, stamp_image(*entry, auto_path(dir, name)));
       entry->tells_since_checkpoint = 0;
     }
   }
@@ -874,37 +877,10 @@ void SessionManager::drain() {
 SessionStatus SessionManager::resume(const std::string& name,
                                      std::istream& is) {
   validate_session_name(name, "SessionManager::resume");
-  if (limits_.max_sessions != 0 && size() >= limits_.max_sessions) {
-    shed("session cap (" + std::to_string(limits_.max_sessions) +
-         ") reached");
-  }
+  shed_at_session_cap(size());
   ParsedCheckpoint parsed = parse_checkpoint(is, workers_);
-  auto entry = std::make_shared<Entry>();
-  entry->session = std::move(parsed.session);
-  entry->spec = std::move(parsed.spec);
-  entry->measure_seed = parsed.measure_seed;
-
-  SessionStatus status;
-  {
-    std::lock_guard lock(registry_mutex_);
-    if (limits_.max_sessions != 0 &&
-        sessions_.size() >= limits_.max_sessions) {
-      shed("session cap (" + std::to_string(limits_.max_sessions) +
-           ") reached");
-    }
-    const auto [it, inserted] = sessions_.emplace(name, std::move(entry));
-    if (!inserted) {
-      throw std::invalid_argument("SessionManager::resume: session '" + name +
-                                  "' already exists");
-    }
-    touch(*it->second);
-    it->second->footprint.store(it->second->session->memory_bytes(),
-                                std::memory_order_relaxed);
-    budget_.charge(name, it->second->footprint.load(std::memory_order_relaxed));
-    status = status_locked(name, *it->second);
-  }
-  enforce_budget();
-  return status;
+  return install(name, std::move(parsed.session), std::move(parsed.spec),
+                 parsed.measure_seed, "SessionManager::resume");
 }
 
 std::size_t SessionManager::size() const {

@@ -272,8 +272,9 @@ class SessionManager {
                                               const std::string& key);
 
   /// Remembers `reply` for a (session, key) pair. The window is bounded
-  /// per session (oldest key evicted past the cap) and dropped wholesale
-  /// when the session closes.
+  /// per session (oldest key evicted past the cap), dropped wholesale when
+  /// the session closes, and empty again when a session is created,
+  /// resumed or imported under the name.
   void remember_reply(const std::string& session, const std::string& key,
                       std::string reply);
 
@@ -344,6 +345,23 @@ class SessionManager {
   };
 
   std::shared_ptr<Entry> find(const std::string& name) const;
+  /// Sheds with OverloadError when `live` sessions already fill the cap.
+  void shed_at_session_cap(std::size_t live) const;
+  /// The one registry insert behind create, resume and import: admits the
+  /// session under the cap, charges its footprint, starts it with an empty
+  /// idempotency window, and enforces the budget. `who` prefixes the
+  /// duplicate-name error.
+  SessionStatus install(const std::string& name,
+                        std::unique_ptr<AskTellSession> session,
+                        SessionSpec spec, std::uint64_t measure_seed,
+                        const char* who);
+  /// The locked sequence shared by tell and tell_failure: resume, shed when
+  /// quarantined or still refitting, `apply` the report to the session
+  /// (returns true when it completed the batch), auto-checkpoint, schedule
+  /// the refit, then commit the checkpoint after release. Returns the
+  /// checkpoint path written ("" when none).
+  template <class Apply>
+  std::string apply_tell(const std::string& name, Apply&& apply);
   SessionStatus status_locked(const std::string& name,
                               const Entry& entry) const;
   static void join_refit(Entry& entry);
@@ -377,9 +395,14 @@ class SessionManager {
   static PendingCheckpoint maybe_auto_checkpoint(
       const std::string& name, Entry& entry,
       const AutoCheckpointPolicy& policy);
-  /// Writes a pending image under entry.ckpt_write_mutex (caller must NOT
-  /// hold entry.mutex). Newest wins: a pending image staler than the last
-  /// committed one is dropped unless `forced`.
+  /// Serializes a locked entry into an image for `path`, stamped newer
+  /// than every image serialized before it (caller holds entry.mutex).
+  static PendingCheckpoint stamp_image(Entry& entry, std::string path);
+  /// Writes a pending image under entry.ckpt_write_mutex. Tells commit
+  /// after releasing entry.mutex; eviction and drain commit holding it, so
+  /// their final image and the teardown that follows stay atomic. Newest
+  /// wins: a pending image staler than the last committed one is dropped
+  /// unless `forced`.
   static void commit_checkpoint(Entry& entry,
                                 const PendingCheckpoint& pending);
   /// Submits the session's due refit to the worker pool (caller holds

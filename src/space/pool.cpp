@@ -81,19 +81,6 @@ Configuration CandidatePool::take(std::size_t i) {
   return taken;
 }
 
-std::vector<Configuration> CandidatePool::take_many(
-    std::vector<std::size_t> indices) {
-  std::sort(indices.begin(), indices.end());
-  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-  std::vector<Configuration> taken;
-  taken.reserve(indices.size());
-  // Descending order: removing a larger index never disturbs a smaller one.
-  for (auto it = indices.rbegin(); it != indices.rend(); ++it) {
-    taken.push_back(take(*it));
-  }
-  return taken;
-}
-
 std::vector<std::size_t> CandidatePool::sample_indices(std::size_t k,
                                                        util::Rng& rng PWU_RNG_STREAM(sampling)) const {
   if (k > configs_.size()) {

@@ -50,11 +50,6 @@ class CandidatePool {
   /// Removes and returns the configuration at `i`.
   Configuration take(std::size_t i);
 
-  /// Removes and returns the configurations at the given indices
-  /// (deduplicated, processed in descending order so earlier removals do not
-  /// invalidate later ones).
-  std::vector<Configuration> take_many(std::vector<std::size_t> indices);
-
   /// k distinct random indices into the current pool.
   std::vector<std::size_t> sample_indices(std::size_t k, util::Rng& rng) const;
 

@@ -244,6 +244,39 @@ TEST(Idempotency, WindowIsBoundedAndErasedOnClose) {
   EXPECT_FALSE(manager.idempotent_reply("s", "k2").has_value());
 }
 
+TEST(Idempotency, NewSessionUnderAClosedNameStartsWithAnEmptyWindow) {
+  SessionManager manager;
+  const auto keyed = [](json::Value request, const char* key) {
+    request.as_object().emplace("idem", json::Value(key));
+    return request;
+  };
+  const json::Value close =
+      keyed(request_obj({{"op", json::Value("close")},
+                         {"session", json::Value("s")}}),
+            "k2");
+  ASSERT_TRUE(handle_request(manager, keyed(small_create("s"), "k1"))
+                  .bool_or("ok", false));
+  const json::Value closed = handle_request(manager, close);
+  ASSERT_EQ(closed.string_or("closed", ""), "s") << closed.dump();
+
+  // A retried close (its reply was lost) still replays the close reply.
+  EXPECT_EQ(handle_request(manager, close).dump(), closed.dump());
+
+  // A new session under the name — e.g. a restarted client whose key
+  // counter starts over — must not inherit that reply: an ask reusing the
+  // close's key executes and hands out the cold-start batch.
+  ASSERT_TRUE(handle_request(manager, keyed(small_create("s"), "k3"))
+                  .bool_or("ok", false));
+  const json::Value asked = handle_request(
+      manager, keyed(request_obj({{"op", json::Value("ask")},
+                                  {"session", json::Value("s")}}),
+                     "k2"));
+  ASSERT_TRUE(asked.bool_or("ok", false)) << asked.dump();
+  EXPECT_FALSE(asked.has("closed")) << asked.dump();
+  EXPECT_EQ(asked.at("candidates").as_array().size(), 4u);
+  EXPECT_EQ(manager.status("s").pending, 4u);
+}
+
 TEST(Idempotency, ZeroWindowDisablesDedup) {
   SessionManager manager;
   manager.set_idempotency_window(0);

@@ -104,20 +104,6 @@ TEST(CandidatePool, TakeOutOfRangeThrows) {
   EXPECT_THROW(pool.take(1), std::out_of_range);
 }
 
-TEST(CandidatePool, TakeManyHandlesUnsortedAndDuplicateIndices) {
-  const ParameterSpace s = tiny_space();
-  const auto all = s.enumerate();
-  CandidatePool pool(all);
-  const Configuration a = pool.at(4);
-  const Configuration b = pool.at(1);
-  const auto taken = pool.take_many({4, 1, 4});  // duplicate 4 collapses
-  EXPECT_EQ(taken.size(), 2u);
-  EXPECT_EQ(pool.size(), 4u);
-  // Both requested configs were removed (order of return: descending idx).
-  EXPECT_EQ(taken[0], a);
-  EXPECT_EQ(taken[1], b);
-}
-
 TEST(CandidatePool, SampleIndicesAreDistinctAndInRange) {
   const ParameterSpace s = big_space();
   util::Rng rng(7);

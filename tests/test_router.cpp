@@ -612,5 +612,84 @@ TEST(Router, RunRouterLoopSpeaksTheLineProtocol) {
   EXPECT_TRUE(responses[3].bool_or("shutdown", false));
 }
 
+/// Reads a stream of pwu1 frames, failing on any unframed or corrupt one.
+std::vector<json::Value> read_frames(const std::string& text) {
+  std::istringstream lines(text);
+  std::vector<json::Value> frames;
+  std::string line;
+  while (std::getline(lines, line)) {
+    service::FrameHeader header;
+    EXPECT_TRUE(service::parse_frame_header(line, header)) << line;
+    std::string payload;
+    EXPECT_TRUE(std::getline(lines, payload));
+    EXPECT_TRUE(service::frame_payload_matches(header, payload));
+    frames.push_back(json::parse(payload));
+  }
+  return frames;
+}
+
+TEST(Router, RunRouterLoopNegotiatesFramingOnTheClientHop) {
+  Fleet fleet = make_fleet("loop_hello");
+  // Captured up front: the shutdown marks the shards down, which moves
+  // the ring to a later epoch.
+  const std::uint64_t epoch = fleet.router->ring().epoch();
+  std::stringstream in;
+  in << R"({"frame":true,"op":"hello"})" << "\n"
+     << service::frame_encode(R"({"op":"list"})")
+     << service::frame_encode(R"({"op":"shutdown"})");
+  std::stringstream out;
+  EXPECT_EQ(run_router_loop(in, out, *fleet.router), 3u);
+
+  // The hello reply and everything after it come back framed.
+  const std::vector<json::Value> frames = read_frames(out.str());
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_TRUE(frames[0].bool_or("ok", false)) << frames[0].dump();
+  EXPECT_EQ(frames[0].string_or("proto", ""), "pwu1");
+  EXPECT_TRUE(frames[0].bool_or("frame", false));
+  EXPECT_EQ(frames[0].number_or("fence_epoch", -1.0),
+            static_cast<double>(epoch));
+  EXPECT_TRUE(frames[1].bool_or("ok", false)) << frames[1].dump();
+  EXPECT_TRUE(frames[1].at("sessions").is_array());
+  EXPECT_TRUE(frames[2].bool_or("shutdown", false));
+}
+
+TEST(Router, RunRouterLoopReportsBadFramesAndResyncs) {
+  Fleet fleet = make_fleet("loop_bad_frame");
+  std::string corrupt = service::frame_encode(R"({"op":"list"})");
+  corrupt[corrupt.find("list")] = 'L';  // payload no longer matches its CRC
+  std::stringstream in;
+  in << corrupt << service::frame_encode(R"({"op":"list"})")
+     << R"({"op":"shutdown"})" << "\n";
+  std::stringstream out;
+  EXPECT_EQ(run_router_loop(in, out, *fleet.router), 3u);
+
+  std::vector<json::Value> responses;
+  std::string line;
+  while (std::getline(out, line)) responses.push_back(json::parse(line));
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_FALSE(responses[0].bool_or("ok", true));
+  EXPECT_TRUE(responses[0].bool_or("bad_frame", false)) << responses[0].dump();
+  // The next frame is served normally, not swallowed by the damaged one.
+  EXPECT_TRUE(responses[1].bool_or("ok", false)) << responses[1].dump();
+  EXPECT_TRUE(responses[2].bool_or("shutdown", false));
+}
+
+TEST(Router, RunRouterLoopStopsAtAShutdownInsideAWindow) {
+  Fleet fleet = make_fleet("loop_shutdown");
+  const std::string name = session_on(0);
+  const std::string after = session_request("status", name).dump();
+  // All three lines are buffered, so they would share one window; the
+  // shutdown ends it, and the request behind it is never read or run.
+  std::stringstream in;
+  in << create_request(name, 52).dump() << "\n"
+     << R"({"op":"shutdown"})" << "\n"
+     << after << "\n";
+  std::stringstream out;
+  EXPECT_EQ(run_router_loop(in, out, *fleet.router), 2u);
+  std::string unread;
+  ASSERT_TRUE(std::getline(in, unread));
+  EXPECT_EQ(unread, after);
+}
+
 }  // namespace
 }  // namespace pwu::router
