@@ -5,19 +5,20 @@
 // scale (Section III: pools of O(10^4) configurations), and emits the
 // numbers as BENCH_rf.json so perf regressions show up in review diffs.
 //
-// Three variants are timed in one binary:
+// Timed in one binary:
 //   fit        the presorted-column fitter (2000 x 12 rows, 50 trees)
 //   reference  per-row tree walks over the original node tables ("before")
-//   flat       the blocked FlatForest engine ("after", what predict_stats
-//              actually routes through), at the dispatched SIMD level
-// plus the bit-exactness check that flat == reference on every pool row,
-// and two sweeps of the engine's kernel tiers (scalar|avx2), each pinned
-// and checked bit-exact the same way: one over that numerical pool, one
-// over a categorical workload's forest and pool (hypre, serve_model's
-// session size). The sweeps interleave the tiers' 15 repetitions and
-// report each cell's median beside its best. The seed_baseline_* constants
-// are the pre-overhaul numbers measured on the same container
-// (single-threaded), kept for before/after context.
+//   levels     two sweeps of the blocked FlatForest engine's kernel tiers
+//              (scalar|avx2), each pinned and checked bit-exact against
+//              the reference on every repetition: one over a numerical
+//              pool, one over a categorical workload's forest and pool
+//              (hypre, serve_model's session size). The sweeps interleave
+//              the tiers' 15 repetitions and report each cell's median
+//              beside its best.
+// The engine row ("flat", "after") is the numerical sweep's cell at the
+// dispatched SIMD level — what predict_stats actually routes through. The
+// seed_baseline_* constants are the pre-overhaul numbers measured on the
+// same container (single-threaded), kept for before/after context.
 
 #include <algorithm>
 #include <chrono>
@@ -211,11 +212,6 @@ int main(int argc, char** argv) {
   const std::size_t pool_rows = 10000;
   const FeatureMatrix pool = make_pool(pool_rows, 12, 7);
 
-  std::vector<PredictionStats> flat_out;
-  const double flat_ms = time_best_ms(5, [&] {
-    flat_out = forest.predict_stats_batch(pool);
-  });
-
   std::vector<PredictionStats> ref_out(pool_rows);
   const double ref_ms = time_best_ms(3, [&] {
     for (std::size_t i = 0; i < pool_rows; ++i) {
@@ -223,24 +219,20 @@ int main(int argc, char** argv) {
     }
   });
 
-  bool bit_exact = true;
-  for (std::size_t i = 0; i < pool_rows; ++i) {
-    if (flat_out[i].mean != ref_out[i].mean ||
-        flat_out[i].variance != ref_out[i].variance) {
-      bit_exact = false;
-      break;
-    }
-  }
-
-  const double flat_rows_per_sec = 1000.0 * pool_rows / flat_ms;
-  const double ref_rows_per_sec = 1000.0 * pool_rows / ref_ms;
-
   // ---- SIMD levels: each kernel tier over the same pool ----
   // Reported relative to the scalar tier (median over median) so the
-  // kernel speedup is separated from the engine speedup above.
+  // kernel speedup is separated from the engine speedup.
   constexpr int kLevelRepeats = 15;
   const std::vector<LevelCell> cells =
       sweep_levels(forest, pool, ref_out, kLevelRepeats);
+  // The engine row is the dispatched tier's cell, so it carries that
+  // cell's interleaved median and its per-repetition bit-exact check.
+  const LevelCell& dispatched =
+      cells[static_cast<std::size_t>(simd::active_level())];
+  const double flat_ms = dispatched.median_ms;
+  const bool bit_exact = dispatched.bit_exact;
+  const double flat_rows_per_sec = 1000.0 * pool_rows / flat_ms;
+  const double ref_rows_per_sec = 1000.0 * pool_rows / ref_ms;
   const double scalar_ms = cells[0].median_ms;
   double best_kernel_speedup = 1.0;
   for (const LevelCell& cell : cells) {
@@ -335,7 +327,7 @@ int main(int argc, char** argv) {
             << kSeedFitMs << " ms)\n"
             << "predict_stats(10k pool, 200t):\n"
             << "  flat      " << flat_ms << " ms  (" << flat_rows_per_sec
-            << " rows/s)\n"
+            << " rows/s; " << dispatched.level << " median)\n"
             << "  reference " << ref_ms << " ms  (" << ref_rows_per_sec
             << " rows/s)\n"
             << "  seed      " << kSeedPredictMs << " ms\n"

@@ -123,6 +123,16 @@ std::string Router::checkpoint_path(std::size_t shard,
   return shards_[shard].checkpoint_dir + "/" + session + ".ckpt";
 }
 
+void Router::SessionRecord::move_to(std::size_t shard,
+                                    const json::Value& status) {
+  home = shard;
+  parked = false;
+  resumed_valid = true;
+  resumed_labeled = status_count(status, "labeled");
+  resumed_pending = status_count(status, "pending");
+  resumed_done = status.bool_or("done", false);
+}
+
 json::Value Router::redirected_response(const std::string& why) {
   ++stats_.redirects;
   json::Object obj;
@@ -136,10 +146,6 @@ json::Value Router::redirected_response(const std::string& why) {
 
 json::Value Router::handle(const json::Value& request) {
   ++stats_.requests;
-  if (options_.probe_every != 0 &&
-      stats_.requests % options_.probe_every == 0) {
-    probe_all();
-  }
   try {
     return dispatch(request);
   } catch (const std::exception& e) {
@@ -453,12 +459,7 @@ bool Router::rehome_session(const std::string& name, SessionRecord& record) {
                         {"session", json::Value(name)},
                         {"path", json::Value(checkpoint_path(target, name))}}));
       shards_[record.home].rehomed_away += 1;
-      record.home = target;
-      record.parked = false;
-      record.resumed_valid = true;
-      record.resumed_labeled = status_count(body, "labeled");
-      record.resumed_pending = status_count(body, "pending");
-      record.resumed_done = body.bool_or("done", false);
+      record.move_to(target, body);
       record.replay_log.clear();
       ++stats_.rehomes;
       return true;
@@ -609,12 +610,7 @@ bool Router::promote_session(const std::string& name, SessionRecord& record) {
                        << record.labeled << " were acknowledged";
       return false;
     }
-    record.home = standby;
-    record.parked = false;
-    record.resumed_valid = true;
-    record.resumed_labeled = status_count(body, "labeled");
-    record.resumed_pending = status_count(body, "pending");
-    record.resumed_done = body.bool_or("done", false);
+    record.move_to(standby, body);
     // The replay log is KEPT: its asks live in the shadow's memory but may
     // postdate its disk image, exactly as they did the primary's. A later
     // cold failover of the promoted home replays them from the mirrored
@@ -743,84 +739,57 @@ util::json::Value Router::add_shard(ShardSpec spec) {
 bool Router::migrate_session(const std::string& name, SessionRecord& record,
                              std::size_t to) {
   const std::size_t from = record.home;
-  // Chunked export -> staged import: the image is the live in-memory
-  // state (pending asks included), so it subsumes the replay log, and the
-  // chunking keeps every transfer line under the protocol's 1 MiB cap.
-  std::size_t offset = 0;
-  for (;;) {
-    json::Value exported;
-    try {
-      exported = shards_[from].client->call(
-          make_request({{"op", json::Value("export")},
-                        {"session", json::Value(name)},
-                        {"offset", json::Value(offset)}}));
-    } catch (const service::TransportError&) {
-      failover(from);
-      return false;
-    }
-    if (!exported.bool_or("ok", false)) {
-      util::log_warn() << "router: exporting session '" << name
-                       << "' failed: "
-                       << exported.string_or("error", "unknown");
-      abort_import(name, to);
-      return false;
-    }
-    const std::string& chunk = exported.at("chunk").as_string();
-    try {
-      const json::Value staged = shards_[to].client->call(
-          make_request({{"op", json::Value("import")},
-                        {"session", json::Value(name)},
-                        {"chunk", json::Value(chunk)}}));
-      if (!staged.bool_or("ok", false)) {
-        abort_import(name, to);
-        return false;
-      }
-    } catch (const service::TransportError&) {
-      return false;  // caller declares `to` down
-    }
-    offset += chunk.size();
-    if (exported.bool_or("eof", true)) break;
-  }
+  // The old home writes the live session (pending asks included, so the
+  // image subsumes the replay log) to the path the new home's own
+  // auto-checkpoints use, and the new home resumes from it: the shared
+  // checkpoint filesystem that failover and standby bootstrap read.
+  const std::string image = checkpoint_path(to, name);
   try {
-    const json::Value committed = shards_[to].client->call(
-        make_request({{"op", json::Value("import")},
+    const json::Value written = shards_[from].client->call(
+        make_request({{"op", json::Value("checkpoint")},
                       {"session", json::Value(name)},
-                      {"commit", json::Value(true)}}));
-    if (!committed.bool_or("ok", false)) {
-      util::log_warn() << "router: importing session '" << name
-                       << "' failed: "
-                       << committed.string_or("error", "unknown");
+                      {"path", json::Value(image)}}));
+    if (!written.bool_or("ok", false)) {
+      util::log_warn() << "router: checkpointing session '" << name
+                       << "' for migration failed: "
+                       << written.string_or("error", "unknown");
       return false;
     }
-    const json::Value& body = committed.at("status");
-    if (status_count(body, "labeled") != record.labeled) {
+  } catch (const service::TransportError&) {
+    failover(from);
+    return false;
+  }
+  json::Value resumed;
+  try {
+    resumed = shards_[to].client->call(
+        make_request({{"op", json::Value("resume")},
+                      {"session", json::Value(name)},
+                      {"path", json::Value(image)}}));
+    if (!resumed.bool_or("ok", false)) {
+      util::log_warn() << "router: resuming migrated session '" << name
+                       << "' failed: " << resumed.string_or("error", "unknown");
+      return false;
+    }
+    const std::size_t labeled = status_count(resumed.at("status"), "labeled");
+    if (labeled != record.labeled) {
       util::log_warn() << "router: migrated session '" << name
-                       << "' landed at " << status_count(body, "labeled")
-                       << " labels but " << record.labeled
+                       << "' landed at " << labeled << " labels but "
+                       << record.labeled
                        << " were acknowledged; discarding the copy";
       shards_[to].client->call(
           make_request({{"op", json::Value("close")},
                         {"session", json::Value(name)}}));
       return false;
     }
-    // Durable at the new home before the flip: a death right after the
-    // flip cold-rehomes from this image.
-    shards_[to].client->call(
-        make_request({{"op", json::Value("checkpoint")},
-                      {"session", json::Value(name)},
-                      {"path", json::Value(checkpoint_path(to, name))}}));
-    retire_standby(name);
-    record.home = to;
-    record.parked = false;
-    record.resumed_valid = true;
-    record.resumed_labeled = status_count(body, "labeled");
-    record.resumed_pending = status_count(body, "pending");
-    record.resumed_done = body.bool_or("done", false);
-    record.replay_log.clear();
-    ++stats_.migrated_sessions;
   } catch (const service::TransportError&) {
     return false;  // caller declares `to` down
   }
+  // No further checkpoint: the file just resumed is the new home's durable
+  // image, so a death right after the flip cold-rehomes from it.
+  retire_standby(name);
+  record.move_to(to, resumed.at("status"));
+  record.replay_log.clear();
+  ++stats_.migrated_sessions;
   // Close the old copy last, best-effort: the home already flipped, so a
   // death here is an ordinary failover of a shard this session left.
   try {
@@ -831,16 +800,6 @@ bool Router::migrate_session(const std::string& name, SessionRecord& record,
     failover(from);
   }
   return true;
-}
-
-void Router::abort_import(const std::string& name, std::size_t to) {
-  try {
-    shards_[to].client->call(make_request({{"op", json::Value("import")},
-                                           {"session", json::Value(name)},
-                                           {"abort", json::Value(true)}}));
-  } catch (const service::TransportError&) {
-    // The caller's abort path already treats `to` as suspect.
-  }
 }
 
 void Router::probe_all() {

@@ -6,9 +6,10 @@
 //              consistent-hash ring (HashRing); membership shrinks on
 //              shard death and grows through add_shard (the "grow" op),
 //              which migrates exactly the sessions the new shard claims
-//              — checkpoint image + replay tail over the transport —
-//              before flipping ring ownership atomically. Sessions the
-//              new shard does not claim never move.
+//              — the old home checkpoints each into the new shard's
+//              directory and the new shard resumes it — before flipping
+//              ring ownership atomically. Sessions the new shard does
+//              not claim never move.
 // Replication— every worker auto-checkpoints each session to its own
 //              directory after every tell (the PR-4 atomic-write
 //              substrate); the router additionally writes a baseline
@@ -45,11 +46,11 @@
 //              take the cold checkpoint path above unchanged.
 //
 // The router is deliberately single-threaded and wall-clock-free in its
-// decision logic (health probing is request-count based), so multi-
-// process chaos runs are deterministic. Failure-report tells
-// (status != "ok") are replayed at-least-once on failover: they never
-// enter the training set, but the per-candidate attempt counter may count
-// one extra attempt for the crashed instant.
+// decision logic (shards are probed only by the requests routed to them
+// and by the health op), so multi-process chaos runs are deterministic.
+// Failure-report tells (status != "ok") are replayed at-least-once on
+// failover: they never enter the training set, but the per-candidate
+// attempt counter may count one extra attempt for the crashed instant.
 
 #pragma once
 
@@ -80,9 +81,6 @@ struct RouterOptions {
   /// would double-apply). Chaos tests use this to exercise the client's
   /// redirected handling.
   bool replay_in_flight = true;
-  /// Probe every up shard's health after this many handled requests
-  /// (deterministic cadence; 0 = probe only on demand via the health op).
-  std::size_t probe_every = 0;
   /// Acked-but-not-yet-durable asks above this count force an explicit
   /// checkpoint instead of growing the replay log without bound.
   std::size_t max_replay_log = 64;
@@ -144,9 +142,9 @@ class Router {
       const std::vector<util::json::Value>& requests);
 
   /// Grows the ring by one shard with live session migration: probes the
-  /// new worker, transfers every session the grown ring would assign to
-  /// it (chunked export -> import -> labeled-count verification -> durable
-  /// checkpoint at the new home), then flips ring ownership atomically.
+  /// new worker, moves every session the grown ring would assign to it
+  /// (checkpoint into the new shard's directory -> resume there ->
+  /// labeled-count verification), then flips ring ownership atomically.
   /// The router is single-threaded, so in-flight requests are drained by
   /// construction — handle_batch flushes pipelined windows before any
   /// non-pipelinable op, and "grow" is not pipelinable. On any failure the
@@ -204,6 +202,11 @@ class Router {
     /// still measuring). Cleared whenever a checkpoint lands; bounded by
     /// forcing a checkpoint past options.max_replay_log entries.
     std::vector<std::string> replay_log;
+
+    /// Points the record at its new live home and captures that home's
+    /// `status` body into the resumed_* fields — the step re-home,
+    /// promotion and migration share.
+    void move_to(std::size_t shard, const util::json::Value& status);
   };
 
   util::json::Value dispatch(const util::json::Value& request);
@@ -283,20 +286,18 @@ class Router {
   /// Idempotent; called after membership changes.
   void rearm_standbys();
 
-  /// Moves one session to shard `to`: chunked export from its home,
-  /// staged import + commit on `to`, labeled-count verification, durable
-  /// checkpoint at the new home, then the ownership flip and a
-  /// best-effort close of the old copy. The exported image is the live
-  /// in-memory state (pending asks included), so the replay log is
-  /// subsumed and cleared. Returns false (session unmoved) on any
-  /// failure.
+  /// Moves one session to shard `to`: its home checkpoints it to `to`'s
+  /// own path (checkpoint_path(to, name)), `to` resumes from that file,
+  /// the labeled count is verified against the ack horizon, then the
+  /// ownership flips and the old copy is closed best-effort. The image is
+  /// the live in-memory state (pending asks included), so the replay log
+  /// is subsumed and cleared, and the resumed file is the new home's
+  /// durable image. Returns false (session unmoved) on any failure.
   bool migrate_session(const std::string& name, SessionRecord& record,
                        std::size_t to);
 
-  /// Discards `name`'s staged import bytes on shard `to` (best-effort).
-  void abort_import(const std::string& name, std::size_t to);
-
-  /// Request-count-based health probe of every up shard (probe_every).
+  /// Health-probes every up shard (failing over the dead ones), then
+  /// sweeps pending fences. Run by the health op.
   void probe_all();
 
   /// Stamps a deterministic idempotency key onto a mutating client

@@ -48,8 +48,9 @@ json::Value ShardClient::stamp(const json::Value& request,
         json::Value(static_cast<std::size_t>(epoch_provider_()));
   }
   // Mutating requests that reach the wire without an idempotency key get
-  // one here, so even router-internal traffic (resume, replicate,
-  // migration imports) survives a corrupted-reply resend exactly-once.
+  // one here, so even router-internal traffic (resume, replicate, the
+  // checkpoint and resume that migrate a session) survives a
+  // corrupted-reply resend exactly-once.
   // Stamped once per logical call — every resend reuses the same key.
   if (service::is_mutating_op(stamped.string_or("op", "")) &&
       stamped.string_or("idem", "").empty() &&

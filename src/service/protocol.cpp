@@ -121,8 +121,8 @@ json::Value health_to_json(const HealthReport& report) {
 /// stale-epoch or duplicated ask is just as dangerous as a tell.
 bool is_mutating_op(const std::string& op) {
   return op == "create" || op == "ask" || op == "tell" || op == "resume" ||
-         op == "checkpoint" || op == "import" || op == "replicate" ||
-         op == "promote" || op == "close";
+         op == "checkpoint" || op == "replicate" || op == "promote" ||
+         op == "close";
 }
 
 std::string frame_header(std::string_view payload) {
@@ -317,8 +317,7 @@ json::Value dispatch_request(SessionManager& manager,
     // is reported as such rather than as a missing 'session'.
     if (op != "create" && op != "ask" && op != "tell" && op != "status" &&
         op != "close" && op != "checkpoint" && op != "resume" &&
-        op != "replicate" && op != "promote" && op != "export" &&
-        op != "import") {
+        op != "replicate" && op != "promote") {
       return error_response("unknown op '" + op + "'");
     }
     const std::string name = required_string(request, "session");
@@ -480,46 +479,6 @@ json::Value dispatch_request(SessionManager& manager,
       util::killpoint("protocol.promote");
       manager.mark_shadow(name, false);
       return ok_response({{"status", status_to_json(manager.status(name))}});
-    }
-    if (op == "export") {
-      // Chunked so a large forest image fits through the 1 MiB line cap.
-      constexpr std::size_t kMaxChunkBytes = 256 * 1024;
-      const std::size_t offset = size_field(request, "offset", 0);
-      std::size_t max_bytes =
-          size_field(request, "max_bytes", kMaxChunkBytes);
-      if (max_bytes == 0 || max_bytes > kMaxChunkBytes) {
-        max_bytes = kMaxChunkBytes;
-      }
-      util::killpoint("protocol.export");
-      const std::string image = manager.export_image(name);
-      if (offset > image.size()) {
-        throw std::invalid_argument("export offset past the image end");
-      }
-      std::string chunk = image.substr(offset, max_bytes);
-      const bool eof = offset + chunk.size() >= image.size();
-      return ok_response({{"chunk", json::Value(std::move(chunk))},
-                          {"offset", json::Value(offset)},
-                          {"total", json::Value(image.size())},
-                          {"eof", json::Value(eof)}});
-    }
-    if (op == "import") {
-      if (request.has("chunk")) {
-        const json::Value& chunk = request.at("chunk");
-        if (!chunk.is_string()) {
-          throw std::invalid_argument("'chunk' must be a string");
-        }
-        manager.import_append(name, chunk.as_string());
-      }
-      if (request.bool_or("abort", false)) {
-        manager.import_abort(name);
-        return ok_response({{"aborted", json::Value(name)}});
-      }
-      if (request.bool_or("commit", false)) {
-        const SessionStatus status =
-            manager.import_commit(name, request.bool_or("shadow", false));
-        return ok_response({{"status", status_to_json(status)}});
-      }
-      return ok_response({{"staged", json::Value(true)}});
     }
     return error_response("unknown op '" + op + "'");
   } catch (const OverloadError& e) {

@@ -23,7 +23,7 @@
 //   {"op":"resume","session":"s1","path":"/tmp/s1.ckpt"} |
 //   {"op":"shutdown"}
 //
-// Replication & migration ops (the router's HA substrate — see
+// Replication ops (the router's warm-standby substrate — see
 // src/router/replication.hpp and DESIGN.md §14):
 //   {"op":"replicate","session":"s1","record":{...}}
 //     applies the wrapped op record to a live shadow copy of the session
@@ -32,13 +32,10 @@
 //   {"op":"promote","session":"s1"}
 //     flips the shadow into an ordinary serving session and returns its
 //     status — zero-cold-start failover.
-//   {"op":"export","session":"s1","offset":0,"max_bytes":262144}
-//     one chunk of the session's checkpoint image ("chunk","offset",
-//     "total","eof") — keeps migration transfers under the line cap.
-//   {"op":"import","session":"s1","chunk":"..."} stages bytes;
-//   {"op":"import","session":"s1","commit":true,"shadow":false} installs
-//   the staged image as a live session; {"op":"import","session":"s1",
-//   "abort":true} discards the staging slot.
+// Sessions move between workers only as checkpoint images on the shared
+// checkpoint filesystem: cold failover and standby bootstrap resume from
+// the old home's file, and ring growth has the old home checkpoint into
+// the new worker's directory and the new worker resume from it.
 //
 // tell's optional "status" ("ok" | "compile_error" | "crash" | "timeout")
 // routes failed measurements; "cost" is the simulated seconds the failed

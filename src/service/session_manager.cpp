@@ -264,6 +264,7 @@ SessionStatus SessionManager::install(const std::string& name,
       // lost to it.
       std::lock_guard idem_lock(idem_mutex_);
       idem_windows_.erase(name);
+      std::erase(orphan_windows_, name);
     }
     touch(*it->second);
     it->second->footprint.store(it->second->session->memory_bytes(),
@@ -637,7 +638,8 @@ bool SessionManager::close(const std::string& name) {
     // The session's dedup window goes with it: a duplicate of an earlier op
     // answers "no session named ..." like any other stale request. The
     // protocol layer then remembers the close's own reply in a fresh window
-    // (a retried close must replay it), and install() clears that window
+    // (a retried close must replay it), which remember_reply() keeps among
+    // the newest windows without a live session, and install() clears
     // when a new session takes the name.
     std::lock_guard idem_lock(idem_mutex_);
     idem_windows_.erase(name);
@@ -659,9 +661,14 @@ std::optional<std::string> SessionManager::idempotent_reply(
 void SessionManager::remember_reply(const std::string& session,
                                     const std::string& key,
                                     std::string reply) {
+  // Registry first, as in install(): no session can appear or vanish under
+  // the name between the liveness check and the insert.
+  std::lock_guard registry_lock(registry_mutex_);
+  const bool live = sessions_.count(session) != 0;
   std::lock_guard lock(idem_mutex_);
   if (idem_window_cap_ == 0) return;
-  IdemWindow& window = idem_windows_[session];
+  const auto [window_it, opened] = idem_windows_.try_emplace(session);
+  IdemWindow& window = window_it->second;
   const auto [it, inserted] =
       window.replies.emplace(key, std::move(reply));
   if (!inserted) return;  // first reply wins; duplicates replay it
@@ -670,12 +677,25 @@ void SessionManager::remember_reply(const std::string& session,
     window.replies.erase(window.order.front());
     window.order.erase(window.order.begin());
   }
+  if (opened && !live) {
+    // A window under a name with no live session (a close's own reply, a
+    // keyed request naming no session) only serves retries, so only the
+    // newest idem_window_cap_ such names keep theirs.
+    orphan_windows_.push_back(session);
+    while (orphan_windows_.size() > idem_window_cap_) {
+      idem_windows_.erase(orphan_windows_.front());
+      orphan_windows_.pop_front();
+    }
+  }
 }
 
 void SessionManager::set_idempotency_window(std::size_t per_session_keys) {
   std::lock_guard lock(idem_mutex_);
   idem_window_cap_ = per_session_keys;
-  if (idem_window_cap_ == 0) idem_windows_.clear();
+  if (idem_window_cap_ == 0) {
+    idem_windows_.clear();
+    orphan_windows_.clear();
+  }
 }
 
 std::size_t SessionManager::idempotency_window() const {
@@ -879,6 +899,10 @@ SessionStatus SessionManager::resume(const std::string& name,
   validate_session_name(name, "SessionManager::resume");
   shed_at_session_cap(size());
   ParsedCheckpoint parsed = parse_checkpoint(is, workers_);
+  // The image is read but no session is installed — dying here (a grow
+  // migrating onto this worker) must leave the old home's copy the only
+  // live one.
+  util::killpoint("session_manager.resume.parsed");
   return install(name, std::move(parsed.session), std::move(parsed.spec),
                  parsed.measure_seed, "SessionManager::resume");
 }
@@ -894,48 +918,6 @@ void SessionManager::mark_shadow(const std::string& name, bool shadow) {
 
 bool SessionManager::is_shadow(const std::string& name) const {
   return find(name)->shadow.load(std::memory_order_relaxed);
-}
-
-std::string SessionManager::export_image(const std::string& name) const {
-  std::ostringstream image;
-  checkpoint(name, image);
-  return image.str();
-}
-
-void SessionManager::import_append(const std::string& name,
-                                   const std::string& chunk) {
-  validate_session_name(name, "SessionManager::import_append");
-  std::lock_guard lock(registry_mutex_);
-  import_staging_[name] += chunk;
-}
-
-SessionStatus SessionManager::import_commit(const std::string& name,
-                                            bool shadow) {
-  std::string image;
-  {
-    std::lock_guard lock(registry_mutex_);
-    const auto it = import_staging_.find(name);
-    if (it == import_staging_.end()) {
-      throw std::invalid_argument(
-          "SessionManager::import_commit: no staged image for '" + name +
-          "'");
-    }
-    image = std::move(it->second);
-    import_staging_.erase(it);
-  }
-  // The staged bytes have been consumed but no session installed yet —
-  // dying here must leave the source copy authoritative (the migration
-  // coordinator aborts and keeps the old home).
-  util::killpoint("session_manager.import.commit");
-  std::istringstream is(image);
-  SessionStatus status = resume(name, is);
-  if (shadow) mark_shadow(name, true);
-  return status;
-}
-
-void SessionManager::import_abort(const std::string& name) {
-  std::lock_guard lock(registry_mutex_);
-  import_staging_.erase(name);
 }
 
 }  // namespace pwu::service

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <iosfwd>
 #include <map>
@@ -234,21 +235,6 @@ class SessionManager {
   ResumeOutcome resume_from_file(const std::string& name,
                                  const std::string& path);
 
-  /// Serializes the session into one in-memory checkpoint image — the
-  /// migration transfer format. Identical bytes to checkpoint(); exists so
-  /// the protocol layer can chunk the image through the line-length cap.
-  std::string export_image(const std::string& name) const;
-
-  /// Staged, chunked import of an export_image() (the receiving side of a
-  /// migration): import_append accumulates chunks under `name`,
-  /// import_commit atomically turns the staged bytes into a live session
-  /// (optionally a shadow) and clears the staging slot, import_abort
-  /// discards it. A commit with no staged bytes or a malformed image
-  /// throws and leaves the registry untouched.
-  void import_append(const std::string& name, const std::string& chunk);
-  SessionStatus import_commit(const std::string& name, bool shadow);
-  void import_abort(const std::string& name);
-
   /// Auto-checkpoint every `every_tells` tells per session, to
   /// `<directory>/<session>.ckpt`. 0 disables. Session names are validated
   /// to be filesystem-safe at create/resume time, so the path is always
@@ -273,8 +259,11 @@ class SessionManager {
 
   /// Remembers `reply` for a (session, key) pair. The window is bounded
   /// per session (oldest key evicted past the cap), dropped wholesale when
-  /// the session closes, and empty again when a session is created,
-  /// resumed or imported under the name.
+  /// the session closes, and empty again when a session is created or
+  /// resumed under the name. A window opened under a name with no live
+  /// session (a close's own reply, a keyed request naming no session) is
+  /// kept only while the name is among the newest `idempotency_window()`
+  /// such names, so closed names cannot accumulate windows.
   void remember_reply(const std::string& session, const std::string& key,
                       std::string reply);
 
@@ -347,7 +336,7 @@ class SessionManager {
   std::shared_ptr<Entry> find(const std::string& name) const;
   /// Sheds with OverloadError when `live` sessions already fill the cap.
   void shed_at_session_cap(std::size_t live) const;
-  /// The one registry insert behind create, resume and import: admits the
+  /// The one registry insert behind create and resume: admits the
   /// session under the cap, charges its footprint, starts it with an empty
   /// idempotency window, and enforces the budget. `who` prefixes the
   /// duplicate-name error.
@@ -443,9 +432,6 @@ class SessionManager {
   mutable util::ResourceBudget budget_;
   std::string auto_checkpoint_dir_ PWU_GUARDED_BY(registry_mutex_);
   std::size_t auto_checkpoint_every_ PWU_GUARDED_BY(registry_mutex_) = 0;
-  /// Partially transferred import images, keyed by session name (see
-  /// import_append/import_commit).
-  std::map<std::string, std::string> import_staging_ PWU_GUARDED_BY(registry_mutex_);
   mutable std::atomic<std::size_t> refits_in_flight_{0};
   mutable std::atomic<std::uint64_t> touch_clock_{0};
   mutable std::atomic<std::uint64_t> overloaded_sheds_{0};
@@ -455,16 +441,20 @@ class SessionManager {
   mutable std::atomic<std::uint64_t> lazy_resumes_{0};
   mutable std::atomic<std::uint64_t> watchdog_timeouts_{0};
 
-  /// Idempotency windows live beside the registry (own leaf mutex, never
-  /// held together with registry or entry mutexes) so dedup bookkeeping
-  /// cannot perturb the session locking order. `order` is a bounded FIFO
-  /// of keys (capacity idem_window_cap_), oldest evicted first.
+  /// Idempotency windows live beside the registry under their own leaf
+  /// mutex, taken only after registry_mutex_ (install, remember_reply) and
+  /// never together with an entry mutex, so dedup bookkeeping cannot
+  /// perturb the session locking order. `order` is a bounded FIFO of keys
+  /// (capacity idem_window_cap_), oldest evicted first.
   struct IdemWindow {
     std::map<std::string, std::string> replies;
     std::vector<std::string> order;
   };
   mutable std::mutex idem_mutex_;
   std::map<std::string, IdemWindow> idem_windows_ PWU_GUARDED_BY(idem_mutex_);
+  /// Names whose window has no live session behind it, oldest first; at
+  /// most idem_window_cap_ of them keep their window.
+  std::deque<std::string> orphan_windows_ PWU_GUARDED_BY(idem_mutex_);
   std::size_t idem_window_cap_ PWU_GUARDED_BY(idem_mutex_) = 32;
   mutable std::atomic<std::uint64_t> idem_replays_{0};
   std::atomic<std::uint64_t> fence_epoch_{0};

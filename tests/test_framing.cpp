@@ -277,6 +277,53 @@ TEST(Idempotency, NewSessionUnderAClosedNameStartsWithAnEmptyWindow) {
   EXPECT_EQ(manager.status("s").pending, 4u);
 }
 
+TEST(Idempotency, NamesWithoutASessionKeepOnlyTheNewestWindows) {
+  // A closed session's name keeps a window only so a retried close can
+  // replay its reply, and only the newest idempotency_window() such names
+  // keep one: a server whose clients use fresh names must not grow a
+  // window per name it ever served.
+  SessionManager manager;
+  manager.set_idempotency_window(3);
+  const auto keyed = [](json::Value request, const std::string& key) {
+    request.as_object().emplace("idem", json::Value(key));
+    return request;
+  };
+  std::vector<json::Value> closes;
+  std::vector<std::string> replies;
+  for (int i = 0; i < 5; ++i) {
+    const std::string name = "s" + std::to_string(i);
+    const std::string n = std::to_string(i);
+    ASSERT_TRUE(handle_request(manager, keyed(small_create(name), "c" + n))
+                    .bool_or("ok", false));
+    closes.push_back(keyed(request_obj({{"op", json::Value("close")},
+                                        {"session", json::Value(name)}}),
+                           "x" + n));
+    const json::Value closed = handle_request(manager, closes.back());
+    ASSERT_EQ(closed.string_or("closed", ""), name) << closed.dump();
+    replies.push_back(closed.dump());
+  }
+  // The oldest close fell out of the bound: resending it executes afresh.
+  const json::Value oldest = handle_request(manager, closes.front());
+  EXPECT_FALSE(oldest.bool_or("ok", true)) << oldest.dump();
+  EXPECT_NE(oldest.string_or("error", "").find("no session named 's0'"),
+            std::string::npos)
+      << oldest.dump();
+  // The newest close still replays its reply.
+  EXPECT_EQ(handle_request(manager, closes.back()).dump(), replies.back());
+  EXPECT_EQ(manager.health().idem_replays, 1u);
+
+  // Keyed requests naming no session at all share the same bound.
+  for (int i = 0; i < 5; ++i) {
+    const std::string n = std::to_string(i);
+    handle_request(manager,
+                   keyed(request_obj({{"op", json::Value("ask")},
+                                      {"session", json::Value("ghost" + n)}}),
+                         "g" + n));
+  }
+  EXPECT_FALSE(manager.idempotent_reply("ghost0", "g0").has_value());
+  EXPECT_TRUE(manager.idempotent_reply("ghost4", "g4").has_value());
+}
+
 TEST(Idempotency, ZeroWindowDisablesDedup) {
   SessionManager manager;
   manager.set_idempotency_window(0);

@@ -33,6 +33,11 @@ std::vector<MalformedCase> malformed_cases() {
       {"not JSON at all", "garbage in, structured error out", ""},
       {"op of the wrong type", R"({"op":42})", ""},
       {"unknown op", R"({"op":"frobnicate"})", "unknown op"},
+      // Sessions move only as checkpoint images; no wire transfer op.
+      {"export op", R"({"op":"export","session":"s","offset":0})",
+       "unknown op 'export'"},
+      {"import op", R"({"op":"import","session":"s","commit":true})",
+       "unknown op 'import'"},
       {"ask without session", R"({"op":"ask"})", "session"},
       {"unknown session", R"({"op":"ask","session":"ghost"})",
        "no session named"},

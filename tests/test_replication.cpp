@@ -398,58 +398,50 @@ TEST(Replication, ReplicatedShadowIsHiddenUntilPromoted) {
             1u);
 }
 
-TEST(Replication, ExportImportRoundTripsAcrossManagers) {
+TEST(Replication, CheckpointThenResumeMovesASessionWithAsksOutstanding) {
+  // The step ring growth migrates a session with: its home checkpoints the
+  // live session into a directory (the new home's), and a second manager
+  // resumes it from that file. Outstanding asks travel in the image, so
+  // both copies answer status and every later tell and ask identically.
   service::SessionManager source;
   service::SessionManager target;
+  const std::string path = fresh_dir("migrate_image") + "/mover.ckpt";
   ASSERT_TRUE(service::handle_request(source, create_request("mover", 9))
                   .bool_or("ok", false));
-  // Leave pending asks outstanding: the image must carry them.
   const json::Value asked =
       service::handle_request(source, session_request("ask", "mover"));
-  ASSERT_TRUE(asked.bool_or("ok", false));
+  ASSERT_TRUE(asked.bool_or("ok", false)) << asked.dump();
+  const json::Array& candidates = asked.at("candidates").as_array();
+  ASSERT_FALSE(candidates.empty());
 
-  // Chunked export (tiny max_bytes forces the multi-chunk path).
-  std::string image;
-  std::size_t offset = 0;
-  for (int guard = 0; guard < 10000; ++guard) {
-    json::Object req;
-    req.emplace("op", json::Value("export"));
-    req.emplace("session", json::Value("mover"));
-    req.emplace("offset", json::Value(offset));
-    req.emplace("max_bytes", json::Value(static_cast<std::size_t>(512)));
-    const json::Value chunk =
-        service::handle_request(source, json::Value(std::move(req)));
-    ASSERT_TRUE(chunk.bool_or("ok", false)) << chunk.dump();
-    image += chunk.at("chunk").as_string();
-    offset = image.size();
-    if (chunk.bool_or("eof", true)) break;
+  json::Value checkpoint = session_request("checkpoint", "mover");
+  checkpoint.as_object().emplace("path", json::Value(path));
+  const json::Value written = service::handle_request(source, checkpoint);
+  ASSERT_TRUE(written.bool_or("ok", false)) << written.dump();
+  json::Value resume = session_request("resume", "mover");
+  resume.as_object().emplace("path", json::Value(path));
+  const json::Value resumed = service::handle_request(target, resume);
+  ASSERT_TRUE(resumed.bool_or("ok", false)) << resumed.dump();
+  EXPECT_EQ(resumed.at("status").number_or("pending", -1.0),
+            static_cast<double>(candidates.size()));
+
+  const auto both = [&](const json::Value& request) {
+    const std::string want =
+        canonical(service::handle_request(source, request));
+    EXPECT_EQ(canonical(service::handle_request(target, request)), want)
+        << request.dump();
+    return json::parse(want);
+  };
+  both(session_request("status", "mover"));
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const double t = 0.5 + 0.125 * static_cast<double>(i);
+    const json::Value told =
+        both(tell_request("mover", candidates[i].at("levels"), t));
+    EXPECT_TRUE(told.bool_or("ok", false)) << told.dump();
   }
-  EXPECT_GT(image.size(), 512u);  // really went through multiple chunks
-
-  // Stage in two pieces, commit, and verify the copy answers identically.
-  const std::size_t half = image.size() / 2;
-  for (const std::string& piece :
-       {image.substr(0, half), image.substr(half)}) {
-    json::Object req;
-    req.emplace("op", json::Value("import"));
-    req.emplace("session", json::Value("mover"));
-    req.emplace("chunk", json::Value(piece));
-    ASSERT_TRUE(service::handle_request(target, json::Value(std::move(req)))
-                    .bool_or("ok", false));
-  }
-  json::Object commit;
-  commit.emplace("op", json::Value("import"));
-  commit.emplace("session", json::Value("mover"));
-  commit.emplace("commit", json::Value(true));
-  const json::Value committed =
-      service::handle_request(target, json::Value(std::move(commit)));
-  ASSERT_TRUE(committed.bool_or("ok", false)) << committed.dump();
-
-  const std::string src_status = canonical(
-      service::handle_request(source, session_request("status", "mover")));
-  const std::string dst_status = canonical(
-      service::handle_request(target, session_request("status", "mover")));
-  EXPECT_EQ(src_status, dst_status);
+  const json::Value next = both(session_request("ask", "mover"));
+  EXPECT_FALSE(next.at("candidates").as_array().empty()) << next.dump();
+  both(session_request("status", "mover"));
 }
 
 // ---- warm promotion --------------------------------------------------------
@@ -764,6 +756,85 @@ TEST(Growth, GrownShardParticipatesInStandbyReplication) {
     EXPECT_TRUE(status.bool_or("ok", false)) << status.dump();
   }
   EXPECT_GE(fleet.router->stats().promotions, 1u);
+}
+
+TEST(Growth, FreshlyMigratedHomeFailsOverColdFromTheMigrationImage) {
+  // A session migrates with asks outstanding, and its new home dies on the
+  // first tell sent to it, before writing any checkpoint of its own. With
+  // no standby the cold re-home must resume the image migration left in
+  // the new home's directory — pending asks included — and the stream must
+  // match a fleet that never grew.
+  const std::string name = session_at(3, 2, -1, 9);
+  Fleet fleet = make_fleet("grow_cold_a", 2);
+  Fleet control = make_fleet("grow_cold_b", 2);
+  const auto workload = workloads::make_workload("gesummv");
+  const std::string grown_dir = fresh_dir("grow_cold_s2");
+
+  std::vector<std::vector<std::string>> streams(2);  // [fleet, control]
+  for (int run = 0; run < 2; ++run) {
+    Router& router = run == 0 ? *fleet.router : *control.router;
+    std::vector<std::string>& stream = streams[run];
+    const auto dispatch = [&](const json::Value& request) {
+      return router.handle(request);
+    };
+    const json::Value created = call(dispatch, create_request(name, 83));
+    ASSERT_TRUE(created.bool_or("ok", false)) << created.dump();
+    stream.push_back(canonical(created));
+    util::Rng rng(std::stoull(created.at("measure_seed").as_string()));
+    const auto tell = [&](const json::Value& candidate) {
+      const double t = workload->measure(
+          service::configuration_from_json(candidate.at("levels")), rng, 1);
+      const json::Value told =
+          call(dispatch, tell_request(name, candidate.at("levels"), t));
+      EXPECT_TRUE(told.bool_or("ok", false)) << told.dump();
+      stream.push_back(canonical(told));
+    };
+
+    json::Value batch = call(dispatch, session_request("ask", name));
+    ASSERT_TRUE(batch.bool_or("ok", false)) << batch.dump();
+    stream.push_back(canonical(batch));
+    const json::Array& first = batch.at("candidates").as_array();
+    ASSERT_GE(first.size(), 3u);
+    tell(first[0]);
+    tell(first[1]);
+    if (run == 0) {
+      auto transport = std::make_unique<KillSwitchTransport>(grown_dir);
+      transport->arm_send_kill(R"("op":"tell")", 1);
+      ShardSpec spec;
+      spec.name = "s2";
+      spec.transport = std::move(transport);
+      spec.checkpoint_dir = grown_dir;
+      const json::Value grown = fleet.router->add_shard(std::move(spec));
+      ASSERT_TRUE(grown.bool_or("ok", false)) << grown.dump();
+      EXPECT_EQ(grown.number_or("migrated", -1.0), 1.0);
+      // The resumed file is the new home's only image: migration writes
+      // no second checkpoint over it.
+      EXPECT_TRUE(fs::exists(fs::path(grown_dir) / (name + ".ckpt")));
+      EXPECT_FALSE(fs::exists(fs::path(grown_dir) / (name + ".ckpt.bak")));
+    }
+    for (std::size_t i = 2; i < first.size(); ++i) tell(first[i]);
+    for (int guard = 0; guard < 100; ++guard) {
+      batch = call(dispatch, session_request("ask", name));
+      ASSERT_TRUE(batch.bool_or("ok", false)) << batch.dump();
+      stream.push_back(canonical(batch));
+      const json::Array& candidates = batch.at("candidates").as_array();
+      if (candidates.empty()) break;
+      for (const json::Value& candidate : candidates) tell(candidate);
+    }
+    stream.push_back(
+        canonical(call(dispatch, session_request("status", name))));
+  }
+  expect_streams_equal(streams[0], streams[1]);
+
+  const RouterStats& stats = fleet.router->stats();
+  EXPECT_EQ(stats.grows, 1u);
+  EXPECT_EQ(stats.migrated_sessions, 1u);
+  EXPECT_EQ(stats.failovers, 1u);
+  EXPECT_EQ(stats.rehomes, 1u);
+  EXPECT_EQ(stats.promotions, 0u);
+  EXPECT_EQ(stats.synthesized, 0u);
+  EXPECT_FALSE(fleet.router->shard_up("s2"));
+  EXPECT_EQ(control.router->stats().failovers, 0u);
 }
 
 }  // namespace

@@ -401,10 +401,11 @@ TEST(RouterChaos, StandbyDeathMidPromotionFallsBackToColdRehome) {
 }
 
 TEST(RouterChaos, GrowAbortsCleanlyWhenImporterDiesAtCommit) {
-  // Mid-migration death on the receiving end: the new worker dies at the
-  // import-commit kill point. The grow must abort all-or-nothing — ring
-  // unchanged, the session keeps serving from its old home, stream
-  // bit-identical to a fleet that never grew.
+  // Mid-migration death on the receiving end: the new worker dies resuming
+  // the migration image, after reading it but before installing the
+  // session. The grow must abort all-or-nothing — ring unchanged, the
+  // session keeps serving from its old home, stream bit-identical to a
+  // fleet that never grew.
   const std::string mover = find_session("chaos-mig-", 2, "shard-0",
                                          "shard-2");
   std::vector<Stepper> sessions(1);
@@ -418,7 +419,7 @@ TEST(RouterChaos, GrowAbortsCleanlyWhenImporterDiesAtCommit) {
       run_schedule(*chaos, sessions, [](Router& router) {
         const json::Value grown =
             grow_fleet(router, "icommit", "shard-2",
-                       "session_manager.import.commit");
+                       "session_manager.resume.parsed");
         EXPECT_FALSE(grown.bool_or("ok", true)) << grown.dump();
         EXPECT_NE(grown.string_or("error", "").find("grow aborted"),
                   std::string::npos);
@@ -435,27 +436,31 @@ TEST(RouterChaos, GrowAbortsCleanlyWhenImporterDiesAtCommit) {
 
 TEST(RouterChaos, GrowSurvivesExporterDeathMidMigration) {
   // Mid-migration death on the sending end: the old owner dies on the
-  // export request. The grow aborts, the exporter's death triggers a
-  // normal failover, and the session finishes from its checkpoint on the
-  // survivor — bit-identical throughout.
+  // migration checkpoint request, before writing a byte of the image. The
+  // grow aborts, the old owner's death triggers a normal failover, and the
+  // session finishes from its checkpoint on the survivor — bit-identical
+  // throughout. By the grow, shard-0 has written 9 images of this session
+  // (the router's baseline after create, then one per tell: 6 cold-start
+  // labels and a batch of 2), so its 10th write is the migration's.
   const std::string mover = find_session("chaos-exp-", 2, "shard-0",
                                          "shard-2");
   std::vector<Stepper> sessions(1);
   sessions[0].name = mover;
   sessions[0].seed = 229;
 
-  auto control = make_ha_fleet("export_ctl", 2, {});
+  auto control = make_ha_fleet("oldhome_ctl", 2, {});
   auto chaos =
-      make_ha_fleet("export_kill", 2, {{"shard-0", "protocol.export"}});
+      make_ha_fleet("oldhome_kill", 2, {{"shard-0", "atomic_write.begin:9"}});
   const auto expected = run_schedule(*control, sessions);
   const auto observed =
       run_schedule(*chaos, sessions, [](Router& router) {
-        const json::Value grown = grow_fleet(router, "export", "shard-2");
+        const json::Value grown = grow_fleet(router, "oldhome", "shard-2");
         EXPECT_FALSE(grown.bool_or("ok", true)) << grown.dump();
       });
   expect_streams_equal(observed, expected);
 
   EXPECT_EQ(chaos->stats().grows, 0u);
+  EXPECT_EQ(chaos->stats().migrated_sessions, 0u);
   EXPECT_EQ(chaos->stats().rehomes, 1u);
   EXPECT_GE(chaos->stats().failovers, 1u);
   EXPECT_FALSE(chaos->ring().contains("shard-2"));
@@ -466,9 +471,10 @@ TEST(RouterChaos, GrowSurvivesExporterDeathMidMigration) {
 
 TEST(RouterChaos, GrowUnderBurstKeepsStreamsBitIdentical) {
   // Three interleaved sessions mid-drive when a healthy worker joins the
-  // ring: exactly the sessions the grown ring claims migrate (checkpoint
-  // image + replay tail over the pipe), ownership flips atomically, and
-  // every stream stays bit-identical to a never-growing control fleet.
+  // ring: exactly the sessions the grown ring claims migrate (checkpointed
+  // into the new worker's directory and resumed there), ownership flips
+  // atomically, and every stream stays bit-identical to a never-growing
+  // control fleet.
   std::vector<Stepper> sessions(3);
   sessions[0].name = find_session("chaos-burst-a-", 2, "shard-0", "shard-2");
   sessions[0].seed = 233;

@@ -475,8 +475,8 @@ const std::vector<RuleInfo>& rule_catalog() {
        "no killpoint under a held lock or with an open write-mode stream "
        "in scope"},
       {"replicate-write-discipline",
-       "replication-path functions (replicate / promote / import_commit) "
-       "only write checkpoint images under a ckpt_write_mutex"},
+       "replication-path functions (replicate / promote) only write "
+       "checkpoint images under a ckpt_write_mutex"},
       {"framed-write-discipline",
        "*Transport methods only touch the wire through the framing layer; "
        "raw fd write() outside *frame* functions is flagged"},

@@ -31,12 +31,12 @@
 //   machinery the chaos harness exists to test.
 //
 //   replicate-write-discipline: functions on the replication path (name or
-//   qualifier containing "replicat", "import_commit", or "promote") may only
-//   write checkpoint images — atomic_write_file calls or write-mode stream
-//   opens — while holding a mutex whose canonical name contains
-//   "ckpt_write_mutex". Replicated records race the primary's own
-//   checkpoint writers for the same image files; the write mutex is the
-//   only thing keeping a promoted shadow's disk state newest-wins.
+//   qualifier containing "replicat" or "promote") may only write checkpoint
+//   images — atomic_write_file calls or write-mode stream opens — while
+//   holding a mutex whose canonical name contains "ckpt_write_mutex".
+//   Replicated records race the primary's own checkpoint writers for the
+//   same image files; the write mutex is the only thing keeping a promoted
+//   shadow's disk state newest-wins.
 //
 //   framed-write-discipline: methods of *Transport classes may only touch
 //   the wire through the framing layer — a raw fd write() (bare or
@@ -665,7 +665,6 @@ bool on_replication_path(const FunctionInfo& fn) {
   std::transform(qual.begin(), qual.end(), qual.begin(),
                  [](unsigned char c) { return std::tolower(c); });
   return qual.find("replicat") != std::string::npos ||
-         qual.find("import_commit") != std::string::npos ||
          qual.find("promote") != std::string::npos;
 }
 

@@ -8,8 +8,8 @@
 //   killpoint-safety      no killpoint under a lock or with an open
 //                         write-mode file stream in scope
 //   replicate-write-discipline
-//                         replication-path functions (replicate / promote /
-//                         import_commit) only write checkpoint images while
+//                         replication-path functions (replicate /
+//                         promote) only write checkpoint images while
 //                         holding a ckpt_write_mutex
 //   framed-write-discipline
 //                         *Transport methods only touch the wire through the

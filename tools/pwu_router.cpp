@@ -82,8 +82,6 @@ int usage(int code) {
          "                                        requests after a shard "
          "death\n"
          "                  [--seed S]            jitter stream seed\n"
-         "                  [--probe-every N]     probe worker health every "
-         "N requests (default 0 = off)\n"
          "                  [--frame]             speak checksummed pwu1 "
          "framing to the workers\n"
          "                                        (corrupt replies are "
@@ -105,7 +103,10 @@ int usage(int code) {
          "response per line on stdout.\n"
          "{\"op\":\"grow\",\"shard\":\"NAME\"} spawns one more worker (same "
          "worker-cmd, {i} = NAME),\n"
-         "migrates the sessions the grown ring assigns to it, then flips "
+         "moves each session the grown ring assigns to it (its old worker "
+         "checkpoints it into the\n"
+         "new worker's directory under --checkpoint-dir, the new worker "
+         "resumes it), then flips\n"
          "ring ownership.\n";
   return code;
 }
@@ -173,13 +174,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       client_options.jitter_seed = static_cast<std::uint64_t>(v);
-    } else if (arg == "--probe-every" && i + 1 < argc) {
-      if (!parse_count(argv[++i], v)) {
-        std::cerr << "pwu_router: --probe-every expects a non-negative "
-                     "integer\n";
-        return 2;
-      }
-      options.probe_every = static_cast<std::size_t>(v);
     } else if (arg == "--frame") {
       options.frame = true;
     } else if (arg == "--standby") {
